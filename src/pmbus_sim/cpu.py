@@ -11,6 +11,13 @@ branch, or outside the CRT recombination entirely (a flip in the final
 result). Only the single-branch cases leak a factor through the gcd
 recovery; the stray case mirrors the large fraction of real faults that
 corrupt a signature without being exploitable.
+
+The fault-free branch values ``sp``, ``sq`` and their recombination depend
+only on the key and the message, and computing them draws nothing from the
+CPU's RNG. ``crypto.crt_branches`` therefore computes them once per
+``(key, message)`` and every signing reuses them; the RNG draws that decide
+each fault happen in the same order and number either way, so a seeded fault
+stream is the same whether or not the values came from the cache.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ import enum
 import random
 from dataclasses import dataclass, field, asdict
 
-from .crypto import CrtRsaKey, crt_combine
-from .errors import CpuUnavailable
+from .crypto import CrtRsaKey, crt_branches, crt_combine
+from .errors import CpuUnavailable, OutOfRange
 
 
 class CpuStatus(enum.Enum):
@@ -40,6 +47,19 @@ class FaultModel:
     # Relative rate of faults that corrupt the combined signature rather
     # than one CRT branch; tunes the fraction of exploitable faults.
     stray_fault_weight: float = 5.3
+
+    def __post_init__(self) -> None:
+        if not self.v_crash_mv < self.v_fault_mv < self.v_abs_max_mv:
+            raise OutOfRange(
+                f"fault model needs v_crash_mv < v_fault_mv < v_abs_max_mv, got "
+                f"{self.v_crash_mv} / {self.v_fault_mv} / {self.v_abs_max_mv} mV"
+            )
+        if not 0 <= self.p_fault_max <= 1:
+            raise OutOfRange(f"p_fault_max {self.p_fault_max} outside [0, 1]")
+        if not self.stray_fault_weight >= 0:
+            raise OutOfRange(f"stray_fault_weight {self.stray_fault_weight} is negative")
+        if not self.brick_events_needed >= 1:
+            raise OutOfRange(f"brick_events_needed {self.brick_events_needed} is below 1")
 
     def p_fault(self, supply_mv: int) -> float:
         span = self.v_fault_mv - self.v_crash_mv
@@ -105,19 +125,20 @@ class Cpu:
         self._require_running()
         if not 0 <= message < key.n:
             raise ValueError("message must be reduced modulo n")
+        sp, sq, sig = crt_branches(key, message)
         p_fault = self.model.p_fault(self.supply_mv)
+        if p_fault == 0:
+            return sig
         flipped: set[str] = set()
-        sp = pow(message, key.dp, key.p)
-        if p_fault > 0 and self.rng.random() < p_fault:
+        if self.rng.random() < p_fault:
             sp = self._flip_bit(sp, key.p.bit_length())
             flipped.add("p")
-        sq = pow(message, key.dq, key.q)
-        if p_fault > 0 and self.rng.random() < p_fault:
+        if self.rng.random() < p_fault:
             sq = self._flip_bit(sq, key.q.bit_length())
             flipped.add("q")
-        sig = crt_combine(sp, sq, key.p, key.q, key.qinv)
-        p_stray = p_fault * self.model.stray_fault_weight
-        if p_fault > 0 and self.rng.random() < p_stray:
+        if flipped:
+            sig = crt_combine(sp, sq, key.p, key.q, key.qinv)
+        if self.rng.random() < p_fault * self.model.stray_fault_weight:
             sig = self._flip_bit(sig, key.n.bit_length()) % key.n
             flipped.add("s")
         if not flipped:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -54,14 +55,25 @@ class CrtRsaKey:
 
     def sign(self, message: int) -> int:
         """Fault-free reference signature via Garner recombination."""
-        return crt_combine(
-            pow(message, self.dp, self.p), pow(message, self.dq, self.q), self.p, self.q, self.qinv
-        )
+        return crt_branches(self, message)[2]
 
 
 def crt_combine(sp: int, sq: int, p: int, q: int, qinv: int) -> int:
     h = (qinv * (sp - sq)) % p
     return sq + h * q
+
+
+@functools.lru_cache(maxsize=256)
+def crt_branches(key: CrtRsaKey, message: int) -> tuple[int, int, int]:
+    """Fault-free ``(sp, sq, signature)`` of ``message`` under ``key``.
+
+    A pure function of its arguments, memoised because a fault campaign signs
+    one message thousands of times; the cache is bounded so that many keys or
+    messages cannot grow it without limit.
+    """
+    sp = pow(message, key.dp, key.p)
+    sq = pow(message, key.dq, key.q)
+    return sp, sq, crt_combine(sp, sq, key.p, key.q, key.qinv)
 
 
 def lenstra_recover(n: int, e: int, message: int, sig: int) -> int | None:

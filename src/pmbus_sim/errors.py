@@ -14,7 +14,7 @@ class TruncatedFrame(PmbusSimError):
 
 
 class OutOfRange(PmbusSimError):
-    """Value outside the representable range of the VID table."""
+    """Value outside its valid range: the VID table, or a fault-model threshold."""
 
 
 class AddressInUse(PmbusSimError):

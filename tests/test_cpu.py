@@ -1,13 +1,16 @@
 """CPU supply-voltage regimes, fault injection statistics and persistence."""
 
+import importlib.resources
 import random
 
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
+from pmbus_sim import Platform
 from pmbus_sim.cpu import Cpu, CpuStatus, FaultModel, FaultySignature
-from pmbus_sim.crypto import CrtRsaKey
-from pmbus_sim.errors import CpuUnavailable
+from pmbus_sim.crypto import CrtRsaKey, crt_branches
+from pmbus_sim.errors import CpuUnavailable, OutOfRange
 
 KEY = CrtRsaKey.generate(128, random.Random(99))
 
@@ -126,3 +129,59 @@ def test_reseed_reproduces_fault_stream():
     results_a = [a.sign_crt_rsa(KEY, 42) for _ in range(200)]
     results_b = [b.sign_crt_rsa(KEY, 42) for _ in range(200)]
     assert results_a == results_b
+
+
+def reference_sign(cpu: Cpu, key: CrtRsaKey, message: int) -> int | FaultySignature:
+    """Uncached signer: both exponentiations on every call, same RNG draw order."""
+    p_fault = cpu.model.p_fault(cpu.supply_mv)
+    flipped = set()
+    sp = pow(message, key.dp, key.p)
+    if p_fault > 0 and cpu.rng.random() < p_fault:
+        sp ^= 1 << cpu.rng.randrange(key.p.bit_length())
+        flipped.add("p")
+    sq = pow(message, key.dq, key.q)
+    if p_fault > 0 and cpu.rng.random() < p_fault:
+        sq ^= 1 << cpu.rng.randrange(key.q.bit_length())
+        flipped.add("q")
+    sig = sq + (key.qinv * (sp - sq)) % key.p * key.q
+    if p_fault > 0 and cpu.rng.random() < p_fault * cpu.model.stray_fault_weight:
+        sig = (sig ^ (1 << cpu.rng.randrange(key.n.bit_length()))) % key.n
+        flipped.add("s")
+    return FaultySignature(sig, frozenset(flipped)) if flipped else sig
+
+
+@pytest.mark.parametrize("supply_mv", [900, 845, 830, 810, 805])
+def test_cached_branches_keep_the_fault_stream(supply_mv):
+    keys = (KEY, CrtRsaKey.generate(128, random.Random(7)))
+    messages = (42, 0xC0FFEE)
+    crt_branches.cache_clear()
+    cached, reference = Cpu(seed=supply_mv), Cpu(seed=supply_mv)
+    for cpu in (cached, reference):
+        cpu.set_supply(supply_mv)
+    for i in range(2000):
+        key, message = keys[i % 2], messages[i // 2 % 2]
+        assert cached.sign_crt_rsa(key, message) == reference_sign(reference, key, message)
+    assert cached.rng.getstate() == reference.rng.getstate()
+    assert crt_branches.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize(
+    "fault_model",
+    [
+        {"v_fault_mv": 800, "v_crash_mv": 800},
+        {"v_fault_mv": 790},
+        {"v_fault_mv": 1600},
+        {"p_fault_max": 1.5},
+        {"p_fault_max": -0.1},
+        {"stray_fault_weight": -1.0},
+        {"brick_events_needed": 0},
+    ],
+)
+def test_impossible_fault_model_profile_is_rejected(tmp_path, fault_model):
+    builtin = importlib.resources.files("pmbus_sim").joinpath("profiles/x11ssl-cf.yaml")
+    doc = yaml.safe_load(builtin.read_text())
+    doc["fault_model"] = fault_model
+    path = tmp_path / "board.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(OutOfRange):
+        Platform.from_profile(str(path))
