@@ -37,8 +37,6 @@ from .protocol import (
     command_info,
     decode_frame,
     encode_frame,
-    vid_to_voltage,
-    voltage_to_vid,
 )
 from .vrm import VrmConfig, VrmDevice, VrmVendor
 
@@ -83,6 +81,4 @@ __all__ = [
     "run_overvolt_attack",
     "run_power_down_attack",
     "run_undervolt_campaign",
-    "vid_to_voltage",
-    "voltage_to_vid",
 ]

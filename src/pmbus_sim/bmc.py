@@ -10,7 +10,7 @@ unlocks raw bus mastering that bypasses the IPMI-level filter.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.asymmetric import rsa
 
@@ -23,6 +23,7 @@ from .errors import (
     Unauthorized,
 )
 from .fabric import BusReply, Fabric
+from .profiles import BmcSpec
 from .protocol import Direction, Transaction
 
 
@@ -48,37 +49,27 @@ class Bmc:
     def __init__(
         self,
         fabric: Fabric,
-        generation: str,
-        credentials: dict[str, str],
+        spec: BmcSpec,
         firmware_key: fw.KeyMaterial,
         vrm_addresses: frozenset[int],
         signing_pubkey: rsa.RSAPublicKey | None = None,
     ):
-        if generation == "X12" and signing_pubkey is None:
+        if spec.x12_policy and signing_pubkey is None:
             raise ValueError("X12 BMC requires the vendor signing public key")
         self.fabric = fabric
-        self.generation = generation
-        self.credentials = dict(credentials)
+        self.spec = spec
         self.firmware_key = firmware_key
         self.vrm_addresses = frozenset(vrm_addresses)
         self.signing_pubkey = signing_pubkey
         self.installed_digest: str | None = None
         self.root_shell = False
 
-    @property
-    def validation_rsa(self) -> bool:
-        return self.generation == "X12"
-
-    @property
-    def i2c_passthrough_filtered(self) -> bool:
-        return self.generation == "X12"
-
     # -- channels ----------------------------------------------------------------
 
     def authenticate(self, channel: Channel, user: str, password: str) -> Channel:
         if channel.kind is not ChannelKind.LAN:
             raise ValueError("only LAN channels authenticate with credentials")
-        if self.credentials.get(user) != password:
+        if self.spec.credentials.get(user) != password:
             raise AuthFailure(user)
         channel.authenticated = True
         return channel
@@ -97,10 +88,11 @@ class Bmc:
             pkg = fw.parse_package(package_bytes, self.firmware_key)
         except FirmwareError:
             return UpgradeResult(False, "BadMagic")
-        report = fw.verify(pkg, self.signing_pubkey if self.validation_rsa else None)
+        x12 = self.spec.x12_policy
+        report = fw.verify(pkg, self.signing_pubkey if x12 else None)
         if not all(report.section_crc.values()) or not report.half_crc_ok:
             return UpgradeResult(False, "BadCrc")
-        if self.validation_rsa and report.signature != "pass":
+        if x12 and report.signature != "pass":
             return UpgradeResult(False, "BadSignature")
         self.installed_digest = pkg.digest
         self.root_shell = fw.has_root_shell(pkg, self.firmware_key)
@@ -118,11 +110,7 @@ class Bmc:
         direction = Direction(addr_byte & 1)
         if not payload:
             raise ValueError("payload must carry at least the command byte")
-        if (
-            self.i2c_passthrough_filtered
-            and direction is Direction.WRITE
-            and address in self.vrm_addresses
-        ):
+        if self.spec.x12_policy and direction is Direction.WRITE and address in self.vrm_addresses:
             raise FilteredByPolicy(f"write to VRM 0x{address:02X}")
         t = Transaction(address, direction, payload[0], bytes(payload[1:]))
         reply = self.fabric.master_transfer("bmc", bus, t)

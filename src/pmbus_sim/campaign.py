@@ -32,7 +32,7 @@ from .errors import (
 from .fabric import BusReply, ReplyStatus
 from .firmware import enable_root_shell, parse_package, repack
 from .machine import Platform
-from .protocol import Direction, Transaction, VidCodec
+from .protocol import CODEC_5MV, Direction, Transaction, encode_value
 
 SIGNING_COST_S = 2.0
 LEVEL_CHANGE_COST_S = 0.1
@@ -109,6 +109,8 @@ def establish_chain(platform: Platform, chain: Chain) -> Callable[[int, int], Bu
     if chain in (Chain.LAN_FIRMWARE, Chain.KCS_FIRMWARE):
         if chain is Chain.LAN_FIRMWARE:
             channel = Channel(ChannelKind.LAN)
+            if not platform.config.bmc.credentials:
+                raise ChainUnavailable("the BMC has no LAN credentials")
             user, password = next(iter(platform.config.bmc.credentials.items()))
             bmc.authenticate(channel, user, password)
         else:
@@ -121,17 +123,15 @@ def establish_chain(platform: Platform, chain: Chain) -> Callable[[int, int], Bu
             raise ChainUnavailable(f"firmware upgrade rejected: {result.reason}")
 
         def write(command: int, value: int) -> BusReply:
-            data_len = pm.command_info(command).data_len
-            t = Transaction(address, Direction.WRITE, command, value.to_bytes(data_len, "little"))
-            return bmc.raw_master(bus, t)
+            payload = encode_value(command, value)
+            return bmc.raw_master(bus, Transaction(address, Direction.WRITE, command, payload))
 
         return write
 
     channel = Channel(ChannelKind.KCS, host_root=True)
 
     def write(command: int, value: int) -> BusReply:
-        data_len = pm.command_info(command).data_len
-        payload = bytes([command]) + value.to_bytes(data_len, "little")
+        payload = bytes([command]) + encode_value(command, value)
         try:
             return bmc.ipmi_i2c(channel, bus, address << 1, payload)
         except FilteredByPolicy as exc:
@@ -156,11 +156,10 @@ def run_undervolt_campaign(
     platform.cpu.reseed(cfg.seed)
     rng = platform.cpu.rng
     message = rng.randrange(1, key.n)
-    codec = VidCodec(step_mv=5)
     nominal_vid = platform.main_vrm.svid_vid
 
     def set_level(mv: int) -> None:
-        write(pm.CMD_VOUT_COMMAND, codec.vid_for(mv))
+        write(pm.CMD_VOUT_COMMAND, CODEC_5MV.vid_for(mv))
         platform.settle()
 
     def enable_override() -> None:
@@ -294,22 +293,15 @@ class PowerDownOutcome:
 def run_power_down_attack(
     platform: Platform, channel: str = "cpu", full_cycle: bool = True
 ) -> PowerDownOutcome:
-    vrm_key = next(iter(platform.vrms))
-    bus, address = vrm_key
-    local_bus = None
-    port = platform.fabric.masters.get(channel)
-    if port is None:
+    bus, address = next(iter(platform.vrms))
+    if channel not in platform.fabric.masters:
         raise ChannelBlocked(f"no such master {channel!r}")
-    for local, phys in port.bus_map.items():
-        if phys == bus:
-            local_bus = local
-            break
+    local_bus = platform.fabric.local_bus(channel, bus)
     if local_bus is None:
         raise ChannelBlocked(f"{channel} has no route to the VRM bus")
 
     def send(command: int, value: int) -> BusReply:
-        data_len = pm.command_info(command).data_len
-        t = Transaction(address, Direction.WRITE, command, value.to_bytes(data_len, "little"))
+        t = Transaction(address, Direction.WRITE, command, encode_value(command, value))
         if channel == "cpu":
             return platform.cpu_transfer(local_bus, t)
         reply = platform.fabric.master_transfer(channel, local_bus, t)

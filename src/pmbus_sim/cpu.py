@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
 
 from .crypto import CrtRsaKey, crt_branches, crt_combine
 from .errors import CpuUnavailable, OutOfRange
@@ -81,7 +81,6 @@ class Cpu:
     def __init__(self, model: FaultModel | None = None, seed: int = 0, nominal_mv: int = 1375):
         self.model = model or FaultModel()
         self.nominal_mv = nominal_mv
-        self.freq_ghz = 2.0
         self.status = CpuStatus.RUNNING
         self.supply_mv = nominal_mv
         self.damage_events = 0
@@ -164,7 +163,6 @@ class Cpu:
         return {
             "status": self.status.value,
             "supply_mv": self.supply_mv,
-            "freq_ghz": self.freq_ghz,
             "damage_events": self.damage_events,
             "rng_seed": self.rng_seed,
             "nominal_mv": self.nominal_mv,
@@ -180,6 +178,5 @@ class Cpu:
         )
         cpu.status = CpuStatus(data["status"])
         cpu.supply_mv = data["supply_mv"]
-        cpu.freq_ghz = data["freq_ghz"]
         cpu.damage_events = data["damage_events"]
         return cpu

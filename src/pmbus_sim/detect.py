@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import protocol as pm
 from .fabric import Fabric
-from .protocol import ADDR_MAX, ADDR_MIN, Direction, Transaction, VidCodec
+from .protocol import ADDR_MAX, ADDR_MIN, CODEC_5MV, Direction, Transaction
 
 PLAUSIBLE_MV = (550, 1520)
 _PAGES = (0, 1)
@@ -103,7 +103,7 @@ def detect(fabric: Fabric, bus: int, master: str = "cpu") -> DetectionReport:
         )
 
         rail_vout = vout_by_page.get(original_page, 0)
-        voltage = VidCodec().voltage(rail_vout & 0xFF)
+        voltage = CODEC_5MV.voltage(rail_vout & 0xFF)
         plausible = PLAUSIBLE_MV[0] <= voltage <= PLAUSIBLE_MV[1]
 
         report.candidates.append(

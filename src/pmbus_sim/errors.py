@@ -89,9 +89,9 @@ class ChannelBlocked(PmbusSimError):
     """The chosen control channel cannot write to the VRM."""
 
 
-class FilteredError(PmbusSimError):
-    """An interposer or BMC policy stopped a write the attack requires."""
-
-
 class UnknownProfile(PmbusSimError):
     """No built-in or user profile with that name."""
+
+
+class InvalidProfile(PmbusSimError):
+    """Malformed profile: an unknown key, generation, vendor or device kind, or a bad value."""

@@ -10,7 +10,7 @@ per physical bus sees every transaction before delivery and can veto it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 from .errors import AddressInUse, InterposerPresent, UnknownJumper
@@ -122,14 +122,22 @@ class Fabric:
 
     # -- routing --------------------------------------------------------------
 
-    def _physical_bus(self, master: str, bus: int) -> int | None:
+    def physical_bus(self, master: str, bus: int) -> int | None:
+        """Physical bus behind a master's local bus number; None if unrouted or gated."""
         port = self.masters[master]
         if port.requires_jumper and not self.jumpers.get(port.requires_jumper, False):
             return None
         return port.bus_map.get(bus)
 
+    def local_bus(self, master: str, physical: int) -> int | None:
+        """A master's own number for a physical bus (no jumper check); None if unmapped."""
+        for local, mapped in self.masters[master].bus_map.items():
+            if mapped == physical:
+                return local
+        return None
+
     def _reachable_device(self, master: str, bus: int, address: int):
-        phys = self._physical_bus(master, bus)
+        phys = self.physical_bus(master, bus)
         if phys is None:
             return None, None
         key = (phys, address)

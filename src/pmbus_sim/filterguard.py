@@ -10,11 +10,11 @@ cannot bound voltage once the 10 mV table is switched in.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import protocol as pm
 from .fabric import BusReply, JAMMED_REPLY, NACK_REPLY
-from .protocol import Transaction, VidCodec
+from .protocol import CODEC_5MV, CODEC_10MV, Transaction
 
 
 class PolicyMode(enum.Enum):
@@ -88,7 +88,7 @@ class BusFilter:
                 return policy.violation_verdict
         if t.command == pm.CMD_VOUT_COMMAND and t.payload:
             vid = int.from_bytes(t.payload, "little") & 0xFF
-            codec = VidCodec(step_mv=10 if self.observed_step_10mv else 5)
+            codec = CODEC_10MV if self.observed_step_10mv else CODEC_5MV
             if codec.voltage(vid) > policy.cap_mv:
                 return policy.violation_verdict
         return Verdict.ALLOW

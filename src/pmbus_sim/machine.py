@@ -14,11 +14,12 @@ from functools import cached_property
 from . import firmware as fw
 from . import protocol as pm
 from .bmc import Bmc
-from .cpu import Cpu, CpuStatus, FaultModel
+from .cpu import Cpu, CpuStatus
+from .errors import ChainUnavailable
 from .fabric import BusReply, DummyDevice, Fabric, MasterPort
 from .profiles import ProfileConfig, load_profile
 from .protocol import Transaction
-from .vrm import VrmConfig, VrmDevice, VrmVendor
+from .vrm import VrmDevice
 
 
 class Platform:
@@ -31,51 +32,27 @@ class Platform:
 
         self.vrms: dict[tuple[int, int], VrmDevice] = {}
         for dev in config.devices:
-            if dev.kind == "dummy":
-                self.fabric.attach_device(dev.bus, dev.address, DummyDevice())
-                continue
-            vrm = VrmDevice(
-                VrmConfig(
-                    vendor=VrmVendor(dev.vendor),
-                    address=dev.address,
-                    initial_vid=dev.initial_vid,
-                    rail_page=dev.rail_page,
-                    temperature_raw=dev.temperature_raw,
-                    ocp_limit_a=dev.ocp_limit_a,
-                    page1_vout=dev.page1_vout,
-                )
-            )
+            device = DummyDevice() if dev.vrm is None else VrmDevice(dev.vrm)
             self.fabric.attach_device(
                 dev.bus,
                 dev.address,
-                vrm,
+                device,
                 required_jumpers=list(dev.requires_jumpers),
                 write_masters=set(dev.write_masters) if dev.write_masters else None,
             )
-            self.vrms[(dev.bus, dev.address)] = vrm
+            if dev.vrm is not None:
+                self.vrms[(dev.bus, dev.address)] = device
 
         self.main_vrm = next(iter(self.vrms.values()))
         self.nominal_mv = self.main_vrm.output_mv
-        self.fault_model = FaultModel(
-            v_fault_mv=config.fault_model.v_fault_mv,
-            v_crash_mv=config.fault_model.v_crash_mv,
-            v_abs_max_mv=config.fault_model.v_abs_max_mv,
-            p_fault_max=config.fault_model.p_fault_max,
-            brick_events_needed=config.fault_model.brick_events_needed,
-            stray_fault_weight=config.fault_model.stray_fault_weight,
-        )
+        self.fault_model = config.fault_model
         self.cpu = Cpu(model=self.fault_model, seed=seed, nominal_mv=self.nominal_mv)
         self.bmc = Bmc(
             fabric=self.fabric,
-            generation=config.bmc.generation,
-            credentials=config.bmc.credentials,
+            spec=config.bmc,
             firmware_key=self.firmware_key,
             vrm_addresses=frozenset(addr for (_, addr) in self.vrms),
-            signing_pubkey=(
-                self.vendor_signing_key.public_key()
-                if config.bmc.validation_policy == "rsa-signed"
-                else None
-            ),
+            signing_pubkey=self.vendor_signing_key.public_key() if config.bmc.x12_policy else None,
         )
         self.boot_loop = False
         self.settle()
@@ -113,9 +90,7 @@ class Platform:
             "kernel": hashlib.sha256(f"{self.name}:kernel".encode()).digest() * 32,
             "webfs": [("index.html", b"<html>BMC</html>")],
         }
-        signer = (
-            self.vendor_signing_key if self.config.bmc.validation_policy == "rsa-signed" else None
-        )
+        signer = self.vendor_signing_key if self.config.bmc.x12_policy else None
         return fw.build_package(contents, self.firmware_key, signer=signer)
 
     # -- electrical feedback -------------------------------------------------------
@@ -140,7 +115,7 @@ class Platform:
     def cpu_pmbus_write(self, bus: int, t: Transaction) -> BusReply:
         self.cpu._require_running()
         reply = self.fabric.master_transfer("cpu", bus, t)
-        vrm = self.vrms.get((self.fabric._physical_bus("cpu", bus) or -1, t.address))
+        vrm = self.vrms.get((self.fabric.physical_bus("cpu", bus), t.address))
         if (
             reply.ok
             and t.is_write
@@ -159,12 +134,11 @@ class Platform:
 
     def bmc_bus_for_vrm(self, vrm_key: tuple[int, int] | None = None) -> int:
         """BMC-local bus number of the segment holding the (main) VRM."""
-        phys, _ = vrm_key or next(k for k, v in self.vrms.items() if v is self.main_vrm)
-        port = self.fabric.masters["bmc"]
-        for local, mapped in port.bus_map.items():
-            if mapped == phys:
-                return local
-        raise LookupError("BMC has no route to the VRM segment")
+        phys, _ = vrm_key or next(iter(self.vrms))
+        local = self.fabric.local_bus("bmc", phys)
+        if local is None:
+            raise ChainUnavailable("BMC has no route to the VRM segment")
+        return local
 
     # -- power control ----------------------------------------------------------------
 

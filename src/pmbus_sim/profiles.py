@@ -2,20 +2,34 @@
 
 Built-in profiles (``x11ssl-cf``, ``x12dpi-nt6``, ``e3c246d4i-2t``) ship as
 YAML files next to this module; user profiles load from arbitrary paths
-with the same schema.
+with the same schema. Parsing builds the runtime configs directly: each VRM
+entry becomes a ``VrmConfig`` and ``fault_model`` a ``FaultModel``. A
+document with an unknown key, generation, vendor or device kind, with a
+missing or mistyped value, without a ``cpu`` and a ``bmc`` master or without
+a VRM raises ``InvalidProfile``.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
 
-from .errors import UnknownProfile
+from .cpu import FaultModel
+from .errors import InvalidProfile, UnknownProfile
+from .vrm import VrmConfig, VrmVendor
 
 BUILTIN_PROFILES = ("x11ssl-cf", "x12dpi-nt6", "e3c246d4i-2t")
+GENERATIONS = ("X11", "X12")
+
+_TOP_KEYS = {"name", "buses", "jumpers", "masters", "devices", "bmc", "fault_model", "nominal_load_a"}
+_MASTER_KEYS = {"buses", "requires_jumper"}
+_DEVICE_KEYS = {"bus", "address", "kind", "requires_jumpers", "write_masters"}
+_VRM_KEYS = {"vendor", "initial_vid", "rail_page", "temperature_raw", "ocp_limit_a", "page1_vout"}
+_BMC_KEYS = {"generation", "credentials"}
+_FAULT_MODEL_KEYS = {f.name for f in fields(FaultModel)}
 
 
 @dataclass(frozen=True)
@@ -27,15 +41,11 @@ class MasterSpec:
 
 @dataclass(frozen=True)
 class DeviceSpec:
+    """A device's placement on the fabric; ``vrm`` is None for a dummy device."""
+
     bus: int  # physical bus id
     address: int
-    kind: str  # "vrm" | "dummy"
-    vendor: str = "mps"
-    initial_vid: int = 0xD8
-    rail_page: int = 0
-    temperature_raw: int = 0x0019
-    ocp_limit_a: int = 100
-    page1_vout: int = 0x0001
+    vrm: VrmConfig | None = None
     requires_jumpers: tuple[str, ...] = ()
     write_masters: tuple[str, ...] | None = None
 
@@ -44,18 +54,11 @@ class DeviceSpec:
 class BmcSpec:
     generation: str  # "X11" | "X12"
     credentials: dict[str, str]
-    validation_policy: str = "none"  # "none" | "rsa-signed"
-    i2c_passthrough_filtered: bool = False
 
-
-@dataclass(frozen=True)
-class FaultModelSpec:
-    v_fault_mv: int = 845
-    v_crash_mv: int = 800
-    v_abs_max_mv: int = 1600
-    p_fault_max: float = 0.05
-    brick_events_needed: int = 2
-    stray_fault_weight: float = 5.3
+    @property
+    def x12_policy(self) -> bool:
+        """X12 BMCs require vendor-signed firmware and filter IPMI I2C writes to VRMs."""
+        return self.generation == "X12"
 
 
 @dataclass(frozen=True)
@@ -66,60 +69,74 @@ class ProfileConfig:
     masters: tuple[MasterSpec, ...]
     devices: tuple[DeviceSpec, ...]
     bmc: BmcSpec
-    fault_model: FaultModelSpec = FaultModelSpec()
+    fault_model: FaultModel = FaultModel()
     nominal_load_a: float = 60.0
 
-    def vrm_specs(self) -> tuple[DeviceSpec, ...]:
-        return tuple(d for d in self.devices if d.kind == "vrm")
+
+def _checked(doc: dict, allowed: set[str], where: str) -> dict:
+    unknown = sorted(map(str, set(doc) - allowed))
+    if unknown:
+        raise InvalidProfile(f"unknown {where} key(s): {', '.join(unknown)}")
+    return doc
 
 
-def _parse_profile(doc: dict) -> ProfileConfig:
-    masters = tuple(
-        MasterSpec(
-            name=name,
-            buses={int(k): int(v) for k, v in spec.get("buses", {}).items()},
-            requires_jumper=spec.get("requires_jumper"),
-        )
-        for name, spec in doc["masters"].items()
+def _parse_master(name: str, spec: dict) -> MasterSpec:
+    _checked(spec, _MASTER_KEYS, f"master {name!r}")
+    buses = {int(k): int(v) for k, v in spec.get("buses", {}).items()}
+    return MasterSpec(name=name, buses=buses, requires_jumper=spec.get("requires_jumper"))
+
+
+def _parse_device(d: dict) -> DeviceSpec:
+    if d.get("kind") == "vrm":
+        _checked(d, _DEVICE_KEYS | _VRM_KEYS, "vrm device")
+        ints = {k: int(d[k]) for k in _VRM_KEYS - {"vendor"} if k in d}
+        vrm = VrmConfig(vendor=VrmVendor(d.get("vendor", "mps")), address=int(d["address"]), **ints)
+    elif d.get("kind") == "dummy":
+        _checked(d, _DEVICE_KEYS, "dummy device")
+        vrm = None
+    else:
+        raise InvalidProfile(f"unknown device kind {d.get('kind')!r}")
+    return DeviceSpec(
+        bus=int(d["bus"]),
+        address=int(d["address"]),
+        vrm=vrm,
+        requires_jumpers=tuple(d.get("requires_jumpers", ())),
+        write_masters=tuple(d["write_masters"]) if "write_masters" in d else None,
     )
-    devices = tuple(
-        DeviceSpec(
-            bus=int(d["bus"]),
-            address=int(d["address"]),
-            kind=d["kind"],
-            vendor=d.get("vendor", "mps"),
-            initial_vid=int(d.get("initial_vid", 0xD8)),
-            rail_page=int(d.get("rail_page", 0)),
-            temperature_raw=int(d.get("temperature_raw", 0x0019)),
-            ocp_limit_a=int(d.get("ocp_limit_a", 100)),
-            page1_vout=int(d.get("page1_vout", 0x0001)),
-            requires_jumpers=tuple(d.get("requires_jumpers", ())),
-            write_masters=tuple(d["write_masters"]) if "write_masters" in d else None,
-        )
-        for d in doc.get("devices", ())
-    )
-    bmc_doc = doc["bmc"]
-    bmc = BmcSpec(
-        generation=bmc_doc["generation"],
-        credentials=dict(bmc_doc.get("credentials", {})),
-        validation_policy=bmc_doc.get("validation_policy", "none"),
-        i2c_passthrough_filtered=bool(bmc_doc.get("i2c_passthrough_filtered", False)),
-    )
-    fm = FaultModelSpec(**doc.get("fault_model", {}))
+
+
+def _parse(doc: dict) -> ProfileConfig:
+    _checked(doc, _TOP_KEYS, "profile")
+    bmc_doc = _checked(doc["bmc"], _BMC_KEYS, "bmc")
+    if bmc_doc["generation"] not in GENERATIONS:
+        raise InvalidProfile(f"bmc generation {bmc_doc['generation']!r} is not one of {GENERATIONS}")
+    if not {"cpu", "bmc"} <= set(doc["masters"]):
+        raise InvalidProfile("masters must include cpu and bmc")
+    devices = tuple(_parse_device(d) for d in doc.get("devices", ()))
+    if all(d.vrm is None for d in devices):
+        raise InvalidProfile("a profile needs at least one vrm device")
     return ProfileConfig(
         name=doc["name"],
         buses=tuple(int(b) for b in doc.get("buses", ())),
         jumpers={k: v == "connected" if isinstance(v, str) else bool(v) for k, v in doc.get("jumpers", {}).items()},
-        masters=masters,
+        masters=tuple(_parse_master(name, spec) for name, spec in doc["masters"].items()),
         devices=devices,
-        bmc=bmc,
-        fault_model=fm,
+        bmc=BmcSpec(generation=bmc_doc["generation"], credentials=dict(bmc_doc.get("credentials", {}))),
+        fault_model=FaultModel(**_checked(doc.get("fault_model", {}), _FAULT_MODEL_KEYS, "fault_model")),
         nominal_load_a=float(doc.get("nominal_load_a", 60.0)),
     )
 
 
+def _parse_profile(text: str) -> ProfileConfig:
+    """Profile from YAML text; an impossible fault model still raises OutOfRange."""
+    try:
+        return _parse(yaml.safe_load(text))
+    except (yaml.YAMLError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidProfile(f"malformed profile: {type(exc).__name__}: {exc}") from exc
+
+
 def load_profile_file(path: str | Path) -> ProfileConfig:
-    return _parse_profile(yaml.safe_load(Path(path).read_text()))
+    return _parse_profile(Path(path).read_text())
 
 
 def load_profile(name: str) -> ProfileConfig:
@@ -128,7 +145,7 @@ def load_profile(name: str) -> ProfileConfig:
         text = (
             importlib.resources.files("pmbus_sim").joinpath(f"profiles/{name}.yaml").read_text()
         )
-        return _parse_profile(yaml.safe_load(text))
+        return _parse_profile(text)
     if Path(name).exists():
         return load_profile_file(name)
     raise UnknownProfile(name)

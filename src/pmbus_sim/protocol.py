@@ -9,7 +9,7 @@ bytes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidAddress, OutOfRange, TruncatedFrame
 
@@ -50,7 +50,6 @@ CMD_MFR_PWD_USER = 0xF0
 # MFR_VR_CONFIG bits.
 VR_CONFIG_FIX_MODE = 1 << 3
 VR_CONFIG_VID_STEP_SEL = 1 << 8
-VR_CONFIG_TRACKING_MODE = 1 << 10
 
 # OPERATION bits.
 OPERATION_PMBUS_OVERRIDE = 1 << 1
@@ -97,6 +96,11 @@ def registry() -> dict[int, CommandDescriptor]:
     return dict(_REGISTRY)
 
 
+def encode_value(command: int, value: int) -> bytes:
+    """Little-endian payload for a registered command, sized from the registry."""
+    return value.to_bytes(_REGISTRY[command].data_len, "little")
+
+
 @dataclass(frozen=True)
 class Transaction:
     """One PMBus exchange: address, direction, command and write payload."""
@@ -105,7 +109,6 @@ class Transaction:
     direction: Direction
     command: int
     payload: bytes = b""
-    page: int | None = None
 
     def __post_init__(self):
         if not ADDR_MIN <= self.address <= ADDR_MAX:
@@ -151,41 +154,34 @@ def decode_frame(data: bytes) -> Transaction:
     return Transaction(address, direction, data[1], payload)
 
 
+VID_BASE_MV = 300  # voltage of VID 1; VID 0 means the rail is off
+
+
 @dataclass(frozen=True)
 class VidCodec:
-    """8-bit VID to millivolt map: VID 0 is off, then base + (vid-1)*step."""
+    """8-bit VID to millivolt map: VID 0 is off, then VID_BASE_MV + (vid-1)*step."""
 
-    base_mv: int = 300
     step_mv: int = 5
-    vid_zero_is_off: bool = True
 
     def voltage(self, vid: int) -> int:
         if not 0 <= vid <= 0xFF:
             raise OutOfRange(f"VID {vid:#x} not a byte")
-        if vid == 0 and self.vid_zero_is_off:
+        if vid == 0:
             return 0
-        return self.base_mv + (vid - 1) * self.step_mv
+        return VID_BASE_MV + (vid - 1) * self.step_mv
 
     def vid_for(self, mv: int) -> int:
         """Nearest VID for a target voltage; ties round to the lower VID."""
         if mv < 0 or mv > self.voltage(0xFF):
             raise OutOfRange(f"{mv} mV outside 0..{self.voltage(0xFF)} mV")
-        if mv < self.base_mv:
+        if mv < VID_BASE_MV:
             # Closer to off than to the lowest table entry?
-            return 0 if mv * 2 <= self.base_mv else 1
-        vid = 1 + (mv - self.base_mv) // self.step_mv
-        rem = (mv - self.base_mv) % self.step_mv
+            return 0 if mv * 2 <= VID_BASE_MV else 1
+        vid = 1 + (mv - VID_BASE_MV) // self.step_mv
+        rem = (mv - VID_BASE_MV) % self.step_mv
         if rem * 2 > self.step_mv and vid < 0xFF:
             vid += 1
         return vid
-
-
-def vid_to_voltage(vid: int, codec: VidCodec) -> int:
-    return codec.voltage(vid)
-
-
-def voltage_to_vid(mv: int, codec: VidCodec) -> int:
-    return codec.vid_for(mv)
 
 
 CODEC_5MV = VidCodec(step_mv=5)

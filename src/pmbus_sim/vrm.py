@@ -11,11 +11,11 @@ writes, but supports the ON_OFF_CONFIG / OPERATION immediate-off path.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import protocol as pm
 from .fabric import BusReply, NACK_REPLY, ReplyStatus
-from .protocol import Direction, Transaction, VidCodec
+from .protocol import CODEC_5MV, CODEC_10MV, Direction, Transaction, VidCodec
 
 
 class VrmVendor(enum.Enum):
@@ -49,7 +49,7 @@ _INTERSIL_COMMANDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class VrmConfig:
     vendor: VrmVendor = VrmVendor.MPS
     address: int = 0x20
@@ -57,7 +57,6 @@ class VrmConfig:
     rail_page: int = 0  # page holding the live rail registers
     temperature_raw: int = 0x0019
     ocp_limit_a: int = 100
-    base_mv: int = 300
     isl_device_id: int = ISL_DEVICE_ID_DEFAULT
     page1_vout: int = 0x0001  # static reading for the secondary rail (MPS)
     passcode: int | None = None
@@ -103,7 +102,7 @@ class VrmDevice:
 
     @property
     def codec(self) -> VidCodec:
-        return VidCodec(base_mv=self.config.base_mv, step_mv=10 if self.step_sel_10mv else 5)
+        return CODEC_10MV if self.step_sel_10mv else CODEC_5MV
 
     @property
     def override_active(self) -> bool:
@@ -126,7 +125,7 @@ class VrmDevice:
             return self.codec.voltage(self.active_vid)
         # The SVID target is negotiated on the dedicated SVID interface and
         # is not re-scaled by the PMBus VID step selector.
-        return VidCodec(base_mv=self.config.base_mv, step_mv=5).voltage(self.svid_vid)
+        return CODEC_5MV.voltage(self.svid_vid)
 
     # -- bus interface ---------------------------------------------------------
 

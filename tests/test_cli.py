@@ -1,9 +1,11 @@
 """Command-line interface: argument wiring, output shapes and exit codes."""
 
+import importlib.resources
 import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from pmbus_sim import Platform
 from pmbus_sim import firmware as fw
@@ -69,6 +71,23 @@ def test_powerdown_json(capsys):
 def test_powerdown_error_maps_to_exit_1(capsys):
     assert main(["attack", "powerdown", "--profile", "e3c246d4i-2t", "--channel", "bmc"]) == 1
     assert "ChannelBlocked" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutate, chain",
+    [
+        (lambda doc: doc["masters"]["bmc"].update(buses={0: 0}), "ipmi-i2c"),  # no BMC route to the VRM
+        (lambda doc: doc["bmc"].update(credentials={}), "lan-firmware"),  # nothing to log in with
+    ],
+)
+def test_unavailable_chain_maps_to_exit_1(tmp_path, capsys, mutate, chain):
+    builtin = importlib.resources.files("pmbus_sim").joinpath("profiles/x11ssl-cf.yaml")
+    doc = yaml.safe_load(builtin.read_text())
+    mutate(doc)
+    profile = tmp_path / "board.yaml"
+    profile.write_text(yaml.safe_dump(doc))
+    assert main(["attack", "undervolt", "--seed", "1", "--profile", str(profile), "--chain", chain]) == 1
+    assert "error: ChainUnavailable" in capsys.readouterr().err
 
 
 def test_fw_workflow(tmp_path, capsys):

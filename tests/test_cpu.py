@@ -68,6 +68,14 @@ def test_serialization_roundtrip_preserves_brick():
     assert clone.status is CpuStatus.BRICKED
 
 
+def test_serialized_cpu_from_older_format_still_loads():
+    """Dicts written before `freq_ghz` was dropped carry it; loading ignores it."""
+    data = Cpu(seed=5).to_dict()
+    assert "freq_ghz" not in data
+    clone = Cpu.from_dict({**data, "freq_ghz": 2.0})
+    assert clone.to_dict() == data
+
+
 def test_faulty_signature_taxonomy():
     cpu = Cpu(seed=7)
     cpu.set_supply(810)

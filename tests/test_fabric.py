@@ -1,8 +1,11 @@
 """Bus routing, jumper gating, write permissions and scan behavior."""
 
 import pytest
+import yaml
 
+from pmbus_sim import Platform
 from pmbus_sim import protocol as pm
+from pmbus_sim.cpu import CpuStatus
 from pmbus_sim.errors import AddressInUse, InterposerPresent, UnknownJumper
 from pmbus_sim.fabric import BusReply, DummyDevice, Fabric, MasterPort, ReplyStatus
 from pmbus_sim.protocol import Direction, Transaction
@@ -112,3 +115,35 @@ def test_missing_device_nacks():
     fabric = Fabric({0})
     fabric.add_master(MasterPort("cpu", {0: 0}))
     assert not fabric.master_transfer("cpu", 0, Transaction(0x20, Direction.READ, 0x00)).ok
+
+
+def test_route_helpers_invert_each_other(x11):
+    fabric = x11.fabric
+    assert fabric.physical_bus("bmc", 2) == 1 and fabric.local_bus("bmc", 1) == 2
+    assert fabric.local_bus("bmc", 0) is None
+    assert fabric.physical_bus("pcie", 1) is None  # JI2C ships disconnected
+    assert fabric.local_bus("pcie", 1) == 1  # the inversion ignores jumpers
+
+
+@pytest.mark.parametrize("bus", [0, 1])
+def test_cpu_override_write_stalls_on_any_bus(tmp_path, bus):
+    """A CPU-issued override sequence stalls the CPU wherever its VRM sits, bus 0 included."""
+    doc = {
+        "name": f"one-vrm-bus{bus}",
+        "buses": [bus],
+        "masters": {"cpu": {"buses": {bus: bus}}, "bmc": {"buses": {2: bus}}},
+        "devices": [{"bus": bus, "address": 0x20, "kind": "vrm"}],
+        "bmc": {"generation": "X11", "credentials": {}},
+    }
+    path = tmp_path / "board.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    platform = Platform.from_profile(str(path))
+    sequence = (
+        (pm.CMD_VOUT_COMMAND, platform.main_vrm.svid_vid),
+        (pm.CMD_OPERATION, pm.OPERATION_PMBUS_OVERRIDE),
+        (pm.CMD_MFR_VR_CONFIG, pm.VR_CONFIG_FIX_MODE),
+    )
+    for command, value in sequence:
+        t = Transaction(0x20, Direction.WRITE, command, pm.encode_value(command, value))
+        assert platform.cpu_pmbus_write(bus, t).ok
+    assert platform.cpu.status is CpuStatus.STALLED

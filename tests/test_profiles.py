@@ -1,0 +1,73 @@
+"""Profile loading: the schema is closed, and the BMC policy follows from its generation."""
+
+import importlib.resources
+
+import pytest
+import yaml
+
+from pmbus_sim import Platform
+from pmbus_sim import firmware as fw
+from pmbus_sim.errors import InvalidProfile
+from pmbus_sim.profiles import BUILTIN_PROFILES
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return mutate
+
+
+def _delete(key):
+    return lambda doc: doc.pop(key)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set("vendor_id", 0x1234),  # unknown top-level key
+        _set("masters", "bmc", "filtered", True),  # unknown master key
+        _set("devices", -1, "base_mv", 250),  # unknown VRM key: the VID base is fixed
+        _set("devices", 0, "vendor", "mps"),  # VRM key on a dummy device
+        _set("bmc", "i2c_passthrough_filtered", True),  # the retired policy flags
+        _set("bmc", "validation_policy", "rsa-signed"),
+        _set("fault_model", {"v_glitch_mv": 820}),  # unknown fault_model key
+        _set("bmc", "generation", "X13"),
+        _set("devices", -1, "vendor", "infineon"),
+        _set("devices", -1, "kind", "psu"),
+        _set("devices", -1, "address", "0x2G"),  # not a number
+        _set("masters", "cpu", "buses", [0, 1]),  # not a bus map
+        _delete("bmc"),
+        lambda doc: doc["masters"].pop("bmc"),  # the BMC needs a bus port
+        lambda doc: doc.update(devices=doc["devices"][:-1]),  # dummies only, no VRM
+    ],
+)
+def test_malformed_profile_is_rejected(tmp_path, mutate):
+    builtin = importlib.resources.files("pmbus_sim").joinpath("profiles/x11ssl-cf.yaml")
+    doc = yaml.safe_load(builtin.read_text())
+    mutate(doc)
+    path = tmp_path / "board.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(InvalidProfile):
+        Platform.from_profile(str(path))
+
+
+@pytest.mark.parametrize("name", BUILTIN_PROFILES)
+def test_generation_alone_sets_the_bmc_policy(name):
+    platform = Platform.from_profile(name)
+    x12 = platform.config.bmc.generation == "X12"
+    assert platform.config.bmc.x12_policy is x12
+    assert (platform.bmc.signing_pubkey is not None) is x12
+    stock = fw.parse_package(platform.build_stock_firmware(), platform.firmware_key)
+    assert (stock.signature is not None) is x12
+
+
+def test_yaml_syntax_error_is_an_invalid_profile(tmp_path):
+    path = tmp_path / "board.yaml"
+    path.write_text("name: [unclosed\n")
+    with pytest.raises(InvalidProfile):
+        Platform.from_profile(str(path))
