@@ -12,15 +12,14 @@ Intersil immediate-off path.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable
-
-import sympy
 
 from . import protocol as pm
 from .bmc import Channel, ChannelKind, UpgradeResult
 from .cpu import CpuStatus, FaultySignature
-from .crypto import CrtRsaKey, lenstra_recover
+from .crypto import CrtRsaKey, is_prime, lenstra_recover
 from .errors import (
     BrickedPlatform,
     ChainUnavailable,
@@ -326,8 +325,9 @@ def run_power_down_attack(
     return outcome
 
 
-def factor_is_sound(n: int, factor: int) -> bool:
+@functools.lru_cache(maxsize=256)
+def factor_is_sound(n: int, factor: int | None) -> bool:
+    """Whether ``factor`` splits ``n`` into two primes; memoised, as a campaign only recovers p or q."""
     if factor is None or n % factor:
         return False
-    cofactor = n // factor
-    return sympy.isprime(factor) and sympy.isprime(cofactor)
+    return is_prime(factor) and is_prime(n // factor)

@@ -19,7 +19,7 @@ from . import protocol as pm
 from .crypto import CrtRsaKey
 from .detect import detect as run_detect
 from .detect import render_report
-from .errors import PmbusSimError
+from .errors import InvalidAddress, InvalidPolicy, InvalidTranscript, PmbusSimError
 from .machine import Platform
 from .profiles import BUILTIN_PROFILES, load_profile
 from .protocol import Direction, Transaction
@@ -27,14 +27,25 @@ from .protocol import Direction, Transaction
 _TEXT_RE = re.compile(r"^([WR])\s+0x([0-9A-Fa-f]{2})\s+0x([0-9A-Fa-f]{2})\s*\[([0-9A-Fa-f\s]*)\]")
 
 
-def parse_transaction_text(line: str) -> Transaction:
-    """Parse the transcript form `W 0x20 0x21 [6E 00]`."""
+def parse_transaction_text(line: str, lineno: int = 1) -> Transaction:
+    """Parse the transcript form `W 0x20 0x21 [6E 00]`; ``lineno`` (1-based) goes into errors."""
     m = _TEXT_RE.match(line.strip())
     if m is None:
-        raise ValueError(f"unparseable transcript line: {line!r}")
+        raise InvalidTranscript(f"line {lineno}: unparseable transcript line: {line!r}")
     direction = Direction.WRITE if m.group(1) == "W" else Direction.READ
-    payload = bytes(int(tok, 16) for tok in m.group(4).split())
-    return Transaction(int(m.group(2), 16), direction, int(m.group(3), 16), payload)
+    try:
+        payload = bytes(int(tok, 16) for tok in m.group(4).split())
+        return Transaction(int(m.group(2), 16), direction, int(m.group(3), 16), payload)
+    except (InvalidAddress, ValueError) as exc:
+        raise InvalidTranscript(f"line {lineno}: {exc}") from exc
+
+
+def _load_policy(path: str) -> fg.FilterPolicy:
+    try:
+        doc = yaml.safe_load(Path(path).read_text())
+    except yaml.YAMLError as exc:
+        raise InvalidPolicy(f"malformed policy: {exc}") from exc
+    return fg.policy_from_dict(doc)
 
 
 def _write_json(path: str | None, payload: object) -> None:
@@ -120,7 +131,7 @@ def _cmd_attack_undervolt(args) -> int:
 def _cmd_attack_overvolt(args) -> int:
     platform = Platform.from_profile(args.profile, seed=args.seed)
     if args.filter_policy:
-        policy = fg.policy_from_dict(yaml.safe_load(Path(args.filter_policy).read_text()))
+        policy = _load_policy(args.filter_policy)
         bus = next(iter(platform.vrms))[0]
         platform.fabric.insert_interposer(bus, fg.BusFilter(policy))
     cfg = camp.CampaignConfig(seed=args.seed, chain=camp.Chain(args.chain or "ipmi-i2c"))
@@ -216,13 +227,10 @@ def _cmd_fw(args) -> int:
 
 
 def _cmd_filter_simulate(args) -> int:
-    policy = fg.policy_from_dict(yaml.safe_load(Path(args.policy).read_text()))
-    bus_filter = fg.BusFilter(policy)
-    for line in Path(args.replay).read_text().splitlines():
-        if not line.strip():
-            continue
-        t = parse_transaction_text(line)
-        bus_filter.submit(t)
+    bus_filter = fg.BusFilter(_load_policy(args.policy))
+    for lineno, line in enumerate(Path(args.replay).read_text().splitlines(), start=1):
+        if line.strip():
+            bus_filter.submit(parse_transaction_text(line, lineno))
     for t, verdict in bus_filter.audit_log():
         print(f"{verdict.value.upper():5s} {t.text()}")
     return 0

@@ -95,3 +95,11 @@ class UnknownProfile(PmbusSimError):
 
 class InvalidProfile(PmbusSimError):
     """Malformed profile: an unknown key, generation, vendor or device kind, or a bad value."""
+
+
+class InvalidPolicy(PmbusSimError):
+    """Malformed filter policy: an unknown mode or verdict, a bad value, or an unsound cap."""
+
+
+class InvalidTranscript(PmbusSimError):
+    """Unparseable replay transcript line, or one that is not a valid transaction."""

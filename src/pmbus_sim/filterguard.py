@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass
 
 from . import protocol as pm
+from .errors import InvalidPolicy
 from .fabric import BusReply, JAMMED_REPLY, NACK_REPLY
 from .protocol import CODEC_5MV, CODEC_10MV, Transaction
 
@@ -47,17 +48,22 @@ ALLOW_ALL = FilterPolicy(mode=PolicyMode.BLOCKLIST, blocked_commands=frozenset()
 
 
 def policy_from_dict(doc: dict) -> FilterPolicy:
+    """Policy from its YAML/JSON form; anything malformed raises ``InvalidPolicy``."""
+
     def codes(values):
         return frozenset(int(v, 0) if isinstance(v, str) else int(v) for v in values)
 
-    return FilterPolicy(
-        mode=PolicyMode(doc["mode"]),
-        blocked_commands=codes(doc.get("blocked_commands", ())),
-        allowed_commands=codes(doc.get("allowed_commands", ())),
-        cap_mv=int(doc.get("cap_mv", 1520)),
-        track_step_sel=bool(doc.get("track_step_sel", True)),
-        violation_verdict=Verdict(doc.get("violation_verdict", "jam")),
-    )
+    try:
+        return FilterPolicy(
+            mode=PolicyMode(doc["mode"]),
+            blocked_commands=codes(doc.get("blocked_commands", ())),
+            allowed_commands=codes(doc.get("allowed_commands", ())),
+            cap_mv=int(doc.get("cap_mv", 1520)),
+            track_step_sel=bool(doc.get("track_step_sel", True)),
+            violation_verdict=Verdict(doc.get("violation_verdict", "jam")),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidPolicy(f"malformed policy: {type(exc).__name__}: {exc}") from exc
 
 
 class BusFilter:

@@ -7,13 +7,19 @@ entry becomes a ``VrmConfig`` and ``fault_model`` a ``FaultModel``. A
 document with an unknown key, generation, vendor or device kind, with a
 missing or mistyped value, without a ``cpu`` and a ``bmc`` master or without
 a VRM raises ``InvalidProfile``.
+
+Each distinct profile text is parsed once per process and the resulting
+``ProfileConfig`` is shared by every platform built from it, so it is
+read-only all the way down: its mappings are ``MappingProxyType`` views.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import MappingProxyType
 
 import yaml
 
@@ -35,7 +41,7 @@ _FAULT_MODEL_KEYS = {f.name for f in fields(FaultModel)}
 @dataclass(frozen=True)
 class MasterSpec:
     name: str
-    buses: dict[int, int]  # local bus id -> physical bus id
+    buses: MappingProxyType[int, int]  # local bus id -> physical bus id
     requires_jumper: str | None = None
 
 
@@ -53,7 +59,7 @@ class DeviceSpec:
 @dataclass(frozen=True)
 class BmcSpec:
     generation: str  # "X11" | "X12"
-    credentials: dict[str, str]
+    credentials: MappingProxyType[str, str]
 
     @property
     def x12_policy(self) -> bool:
@@ -65,7 +71,7 @@ class BmcSpec:
 class ProfileConfig:
     name: str
     buses: tuple[int, ...]
-    jumpers: dict[str, bool]
+    jumpers: MappingProxyType[str, bool]
     masters: tuple[MasterSpec, ...]
     devices: tuple[DeviceSpec, ...]
     bmc: BmcSpec
@@ -82,7 +88,7 @@ def _checked(doc: dict, allowed: set[str], where: str) -> dict:
 
 def _parse_master(name: str, spec: dict) -> MasterSpec:
     _checked(spec, _MASTER_KEYS, f"master {name!r}")
-    buses = {int(k): int(v) for k, v in spec.get("buses", {}).items()}
+    buses = MappingProxyType({int(k): int(v) for k, v in spec.get("buses", {}).items()})
     return MasterSpec(name=name, buses=buses, requires_jumper=spec.get("requires_jumper"))
 
 
@@ -118,17 +124,27 @@ def _parse(doc: dict) -> ProfileConfig:
     return ProfileConfig(
         name=doc["name"],
         buses=tuple(int(b) for b in doc.get("buses", ())),
-        jumpers={k: v == "connected" if isinstance(v, str) else bool(v) for k, v in doc.get("jumpers", {}).items()},
+        jumpers=MappingProxyType(
+            {k: v == "connected" if isinstance(v, str) else bool(v) for k, v in doc.get("jumpers", {}).items()}
+        ),
         masters=tuple(_parse_master(name, spec) for name, spec in doc["masters"].items()),
         devices=devices,
-        bmc=BmcSpec(generation=bmc_doc["generation"], credentials=dict(bmc_doc.get("credentials", {}))),
+        bmc=BmcSpec(
+            generation=bmc_doc["generation"],
+            credentials=MappingProxyType(dict(bmc_doc.get("credentials", {}))),
+        ),
         fault_model=FaultModel(**_checked(doc.get("fault_model", {}), _FAULT_MODEL_KEYS, "fault_model")),
         nominal_load_a=float(doc.get("nominal_load_a", 60.0)),
     )
 
 
+@functools.lru_cache(maxsize=32)
 def _parse_profile(text: str) -> ProfileConfig:
-    """Profile from YAML text; an impossible fault model still raises OutOfRange."""
+    """Profile from YAML text, memoised on the text; an impossible fault model still raises OutOfRange.
+
+    A failed parse raises and so is never cached, and a user file edited
+    between loads has new text and is parsed again.
+    """
     try:
         return _parse(yaml.safe_load(text))
     except (yaml.YAMLError, AttributeError, KeyError, TypeError, ValueError) as exc:

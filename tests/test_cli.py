@@ -10,6 +10,7 @@ import yaml
 from pmbus_sim import Platform
 from pmbus_sim import firmware as fw
 from pmbus_sim.cli import main, parse_transaction_text
+from pmbus_sim.errors import InvalidTranscript
 from pmbus_sim.protocol import Direction
 
 GOLDEN = Path(__file__).parent / "golden" / "detect_x11_bus1.txt"
@@ -20,7 +21,7 @@ def test_parse_transaction_text():
     assert (t.address, t.direction, t.command, t.payload) == (0x20, Direction.WRITE, 0x21, b"\x6e\x00")
     r = parse_transaction_text("R 0x20 0x8B []")
     assert r.direction is Direction.READ and r.payload == b""
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidTranscript):
         parse_transaction_text("garbage")
 
 
@@ -146,3 +147,48 @@ def test_bad_image_maps_to_exit_1(tmp_path, capsys):
     junk.write_bytes(b"\x00" * 128)
     assert main(["fw", "parse", str(junk)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "policy_text",
+    [
+        "mode: bogus\n",  # unknown mode
+        "mode: voltage-cap\ntrack_step_sel: false\n",  # an unsound cap
+        "mode: blocklist\nblocked_commands: [0xZZ]\n",  # not a command code
+        "mode: allowlist\nviolation_verdict: shrug\n",
+        "blocked_commands: [0xE4]\n",  # no mode
+        "- mode: blocklist\n",  # not a mapping
+        "mode: [blocklist\n",  # YAML syntax error
+    ],
+)
+@pytest.mark.parametrize("subcommand", ["filter-simulate", "attack-overvolt"])
+def test_malformed_policy_maps_to_exit_1(tmp_path, capsys, policy_text, subcommand):
+    policy = tmp_path / "policy.yaml"
+    policy.write_text(policy_text)
+    replay = tmp_path / "replay.txt"
+    replay.write_text("W 0x20 0x21 [6E 00]\n")
+    if subcommand == "filter-simulate":
+        argv = ["filter", "simulate", "--policy", str(policy), "--replay", str(replay)]
+    else:
+        argv = ["attack", "overvolt", "--seed", "1", "--filter-policy", str(policy)]
+    assert main(argv) == 1
+    assert "error: InvalidPolicy: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_line, reason",
+    [
+        ("garbage", "unparseable transcript line"),
+        ("W 0x20 0x21 [6E 00 00]", "VOUT_COMMAND expects 2 data byte(s), got 3"),
+        ("W 0x00 0x21 [6E 00]", "address 0x00 outside"),
+    ],
+)
+def test_malformed_transcript_maps_to_exit_1(tmp_path, capsys, bad_line, reason):
+    policy = tmp_path / "policy.yaml"
+    policy.write_text("mode: blocklist\n")
+    replay = tmp_path / "replay.txt"
+    replay.write_text(f"W 0x20 0x21 [6E 00]\n\n{bad_line}\n")
+    assert main(["filter", "simulate", "--policy", str(policy), "--replay", str(replay)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidTranscript: line 3: ")
+    assert reason in err

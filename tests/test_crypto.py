@@ -1,12 +1,33 @@
-"""CRT-RSA key material and gcd factor recovery, checked against brute force."""
+"""CRT-RSA key material and gcd factor recovery, checked against brute force; the
+primality test, checked against sympy (a test-only dependency)."""
 
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
 
-from pmbus_sim.crypto import CrtRsaKey, crt_combine, lenstra_recover
+import pmbus_sim
+from pmbus_sim import crypto
+from pmbus_sim.crypto import CrtRsaKey, crt_combine, is_prime, lenstra_recover, next_prime
+
+# Strong base-2 pseudoprimes (incl. squares of the Wieferich primes), strong Lucas
+# pseudoprimes for Selfridge's parameters, Carmichael numbers, and primes beside them.
+PSEUDOPRIMES = (
+    2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281, 74665, 80581,
+    1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+    1093**2, 3511**2,
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+    100127, 113573, 115639, 130139,
+    561, 1105, 1729, 41041, 825265, 321197185, 5394826801, 232250619601, 9746347772161,
+    2**61 - 1, 2**89 - 1, 2**127 - 1, 2**521 - 1, 2**61 + 1, 2**127 + 1, (2**89 - 1) ** 2,
+)
 
 
 def test_from_primes_consistency(small_key):
@@ -82,3 +103,55 @@ def test_double_branch_fault_leaks_nothing():
     sq = pow(m, key.dq, key.q) ^ 1
     faulty = crt_combine(sp, sq, key.p, key.q, key.qinv)
     assert lenstra_recover(key.n, key.e, m, faulty) is None
+
+
+def test_is_prime_matches_sympy_below_100k():
+    assert [n for n in range(100_001) if is_prime(n)] == list(sympy.primerange(0, 100_001))
+
+
+def test_bpsw_halves_match_sympy():
+    """Each half of the test on its own, below the small-factor gcd that hides most pseudoprimes."""
+    from sympy.ntheory.primetest import is_strong_lucas_prp, mr
+
+    odd = [n for n in range(3, 150_000, 2) if math.isqrt(n) ** 2 != n]
+    assert [n for n in odd if crypto._strong_prp_base2(n)] == [n for n in odd if mr(n, [2])]
+    assert [n for n in odd if crypto._strong_lucas_prp(n)] == [n for n in odd if is_strong_lucas_prp(n)]
+
+
+@pytest.mark.parametrize("n", PSEUDOPRIMES)
+def test_is_prime_on_pseudoprimes(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+def test_is_prime_matches_sympy_on_random_odd_numbers(bits):
+    rng = random.Random(bits)
+    numbers = [rng.getrandbits(bits) | 1 | (1 << (bits - 1)) for _ in range(500)]
+    assert [is_prime(n) for n in numbers] == [sympy.isprime(n) for n in numbers]
+
+
+def test_next_prime_matches_sympy():
+    rng = random.Random(256)
+    for n in [0, 1, 2, 3, 4, 999, 1000, 7919] + [rng.getrandbits(256) for _ in range(300)]:
+        assert next_prime(n) == sympy.nextprime(n), n
+
+
+def test_seeded_keys_are_unchanged():
+    """Keys for seeds 0..99, hashed on the commit that still generated them with sympy."""
+    digest = hashlib.sha256()
+    for seed in range(100):
+        k = CrtRsaKey.generate(512, random.Random(seed))
+        digest.update(f"{k.p},{k.q},{k.e},{k.d},{k.dp},{k.dq},{k.qinv}\n".encode())
+    assert digest.hexdigest() == "9ece62d1b0a24b2f1fc99b88f93a26b6e5af01128e790444d8f8a5aae94f1b67"
+
+
+def test_runtime_does_not_import_sympy():
+    env = dict(os.environ, PYTHONPATH=str(Path(pmbus_sim.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, pmbus_sim; print('sympy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,4 +1,5 @@
-"""Profile loading: the schema is closed, and the BMC policy follows from its generation."""
+"""Profile loading: the schema is closed, the BMC policy follows from its generation, and the
+parsed config is shared read-only between platforms."""
 
 import importlib.resources
 
@@ -8,7 +9,7 @@ import yaml
 from pmbus_sim import Platform
 from pmbus_sim import firmware as fw
 from pmbus_sim.errors import InvalidProfile
-from pmbus_sim.profiles import BUILTIN_PROFILES
+from pmbus_sim.profiles import BUILTIN_PROFILES, load_profile
 
 
 def _set(*path_and_value):
@@ -71,3 +72,51 @@ def test_yaml_syntax_error_is_an_invalid_profile(tmp_path):
     path.write_text("name: [unclosed\n")
     with pytest.raises(InvalidProfile):
         Platform.from_profile(str(path))
+
+
+def test_each_profile_text_is_parsed_once():
+    assert load_profile("x11ssl-cf") is load_profile("x11ssl-cf")
+    assert Platform.from_profile("x11ssl-cf").config is Platform.from_profile("x11ssl-cf").config
+
+
+def test_shared_config_is_read_only():
+    config = load_profile("x11ssl-cf")
+    with pytest.raises(TypeError):
+        config.jumpers["SMBDAT_VRM"] = False
+    with pytest.raises(TypeError):
+        config.masters[0].buses[7] = 7
+    with pytest.raises(TypeError):
+        config.bmc.credentials["ADMIN"] = "guess"
+
+
+def test_jumper_change_stays_on_its_platform():
+    first = Platform.from_profile("x11ssl-cf")
+    second = Platform.from_profile("x11ssl-cf")
+    name, connected = next(iter(first.config.jumpers.items()))
+    first.fabric.set_jumper(name, not connected)
+    assert first.fabric.jumpers[name] is (not connected)
+    assert second.fabric.jumpers[name] is connected
+    assert Platform.from_profile("x11ssl-cf").fabric.jumpers[name] is connected
+    assert first.config.jumpers[name] is connected
+
+
+def test_rewritten_user_profile_is_parsed_again(tmp_path):
+    builtin = importlib.resources.files("pmbus_sim").joinpath("profiles/x11ssl-cf.yaml")
+    doc = yaml.safe_load(builtin.read_text())
+    path = tmp_path / "board.yaml"
+    doc["name"] = "board-a"
+    path.write_text(yaml.safe_dump(doc))
+    assert Platform.from_profile(str(path)).name == "board-a"
+    doc["name"] = "board-b"
+    doc["nominal_load_a"] = 75.0
+    path.write_text(yaml.safe_dump(doc))
+    rebuilt = Platform.from_profile(str(path))
+    assert (rebuilt.name, rebuilt.config.nominal_load_a) == ("board-b", 75.0)
+
+
+def test_malformed_profile_fails_on_every_load(tmp_path):
+    path = tmp_path / "board.yaml"
+    path.write_text("name: board\nvendor_id: 0x1234\n")
+    for _ in range(3):
+        with pytest.raises(InvalidProfile):
+            Platform.from_profile(str(path))
