@@ -12,7 +12,6 @@ Intersil immediate-off path.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -325,9 +324,8 @@ def run_power_down_attack(
     return outcome
 
 
-@functools.lru_cache(maxsize=256)
 def factor_is_sound(n: int, factor: int | None) -> bool:
-    """Whether ``factor`` splits ``n`` into two primes; memoised, as a campaign only recovers p or q."""
+    """Whether ``factor`` splits ``n`` into two primes."""
     if factor is None or n % factor:
         return False
     return is_prime(factor) and is_prime(n // factor)

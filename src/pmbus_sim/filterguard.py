@@ -62,7 +62,7 @@ def policy_from_dict(doc: dict) -> FilterPolicy:
             track_step_sel=bool(doc.get("track_step_sel", True)),
             violation_verdict=Verdict(doc.get("violation_verdict", "jam")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidPolicy(f"malformed policy: {type(exc).__name__}: {exc}") from exc
 
 

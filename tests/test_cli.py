@@ -154,6 +154,8 @@ def test_bad_image_maps_to_exit_1(tmp_path, capsys):
     [
         "mode: bogus\n",  # unknown mode
         "mode: voltage-cap\ntrack_step_sel: false\n",  # an unsound cap
+        "mode: voltage-cap\ncap_mv: .inf\n",  # int(inf) overflows
+        "mode: blocklist\nblocked_commands: [.inf]\n",
         "mode: blocklist\nblocked_commands: [0xZZ]\n",  # not a command code
         "mode: allowlist\nviolation_verdict: shrug\n",
         "blocked_commands: [0xE4]\n",  # no mode
