@@ -18,6 +18,12 @@ CPU's RNG. ``crypto.crt_branches`` therefore computes them once per
 ``(key, message)`` and every signing reuses them; the RNG draws that decide
 each fault happen in the same order and number either way, so a seeded fault
 stream is the same whether or not the values came from the cache.
+
+At a supply where ``p_fault`` is 0 (``Cpu.fault_free``) a signing draws
+nothing from the RNG, changes no state and returns that cached signature.
+The undervolt campaign therefore skips the signings of a fault-free level
+altogether and only advances its clock for them; the fault stream, the RNG
+state and the campaign records are the same as if each had been signed.
 """
 
 from __future__ import annotations
@@ -116,6 +122,11 @@ class Cpu:
     def _require_running(self) -> None:
         if self.status is not CpuStatus.RUNNING:
             raise CpuUnavailable(f"CPU is {self.status.value}")
+
+    @property
+    def fault_free(self) -> bool:
+        """Whether signing at the present supply cannot fault (and so draws nothing)."""
+        return self.model.p_fault(self.supply_mv) == 0
 
     def _flip_bit(self, value: int, width: int) -> int:
         return value ^ (1 << self.rng.randrange(max(width, 1)))

@@ -10,7 +10,7 @@ cannot bound voltage once the 10 mV table is switched in.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import protocol as pm
 from .errors import InvalidPolicy
@@ -53,13 +53,21 @@ def policy_from_dict(doc: dict) -> FilterPolicy:
     def codes(values):
         return frozenset(int(v, 0) if isinstance(v, str) else int(v) for v in values)
 
+    if not isinstance(doc, dict):
+        raise InvalidPolicy(f"malformed policy: expected a mapping, got {type(doc).__name__}")
+    unknown = set(doc) - {f.name for f in fields(FilterPolicy)}
+    if unknown:
+        raise InvalidPolicy(f"malformed policy: unknown key(s) {sorted(unknown, key=str)}")
+    track_step_sel = doc.get("track_step_sel", True)
+    if not isinstance(track_step_sel, bool):
+        raise InvalidPolicy(f"malformed policy: track_step_sel {track_step_sel!r} is not a bool")
     try:
         return FilterPolicy(
             mode=PolicyMode(doc["mode"]),
             blocked_commands=codes(doc.get("blocked_commands", ())),
             allowed_commands=codes(doc.get("allowed_commands", ())),
             cap_mv=int(doc.get("cap_mv", 1520)),
-            track_step_sel=bool(doc.get("track_step_sel", True)),
+            track_step_sel=track_step_sel,
             violation_verdict=Verdict(doc.get("violation_verdict", "jam")),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -100,8 +100,10 @@ class Platform:
 
     def settle(self) -> None:
         vrm = self.main_vrm
-        vrm.tick(self.load_current_a(vrm.output_mv))
         supply = vrm.output_mv
+        vrm.tick(self.load_current_a(supply))
+        if not vrm.powered:  # the over-current check tripped the rail
+            supply = 0
         self.cpu.set_supply(supply)
         if (
             self.cpu.status is CpuStatus.STALLED

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import protocol as pm
 from .fabric import BusReply, NACK_REPLY, ReplyStatus
-from .protocol import CODEC_5MV, CODEC_10MV, Direction, Transaction, VidCodec
+from .protocol import CODEC_5MV, CODEC_10MV, Direction, Transaction
 
 
 class VrmVendor(enum.Enum):
@@ -96,33 +96,33 @@ class VrmDevice:
     def _rail(self) -> dict[int, int]:
         return self.registers[self.config.rail_page]
 
-    @property
-    def step_sel_10mv(self) -> bool:
-        return bool(self._rail().get(pm.CMD_MFR_VR_CONFIG, 0) & pm.VR_CONFIG_VID_STEP_SEL)
-
-    @property
-    def codec(self) -> VidCodec:
-        return CODEC_10MV if self.step_sel_10mv else CODEC_5MV
-
-    @property
-    def override_active(self) -> bool:
-        rail = self._rail()
-        return bool(rail.get(pm.CMD_OPERATION, 0) & pm.OPERATION_PMBUS_OVERRIDE) and bool(
-            rail.get(pm.CMD_MFR_VR_CONFIG, 0) & pm.VR_CONFIG_FIX_MODE
+    @staticmethod
+    def _overridden(rail: dict[int, int]) -> bool:
+        return bool(
+            rail.get(pm.CMD_OPERATION, 0) & pm.OPERATION_PMBUS_OVERRIDE
+            and rail.get(pm.CMD_MFR_VR_CONFIG, 0) & pm.VR_CONFIG_FIX_MODE
         )
 
     @property
+    def override_active(self) -> bool:
+        return self._overridden(self._rail())
+
+    @property
     def active_vid(self) -> int:
-        if self.override_active:
-            return self._rail().get(pm.CMD_VOUT_COMMAND, 0) & 0xFF
+        rail = self._rail()
+        if self._overridden(rail):
+            return rail.get(pm.CMD_VOUT_COMMAND, 0) & 0xFF
         return self.svid_vid
 
     @property
     def output_mv(self) -> int:
         if not self.powered:
             return 0
-        if self.override_active:
-            return self.codec.voltage(self.active_vid)
+        rail = self._rail()
+        if self._overridden(rail):
+            step_10mv = rail.get(pm.CMD_MFR_VR_CONFIG, 0) & pm.VR_CONFIG_VID_STEP_SEL
+            codec = CODEC_10MV if step_10mv else CODEC_5MV
+            return codec.voltage(rail.get(pm.CMD_VOUT_COMMAND, 0) & 0xFF)
         # The SVID target is negotiated on the dedicated SVID interface and
         # is not re-scaled by the PMBus VID step selector.
         return CODEC_5MV.voltage(self.svid_vid)

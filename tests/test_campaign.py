@@ -1,5 +1,6 @@
 """Attack orchestration: control chains, undervolting, overvolting, power-down."""
 
+import hashlib
 import random
 
 import pytest
@@ -73,6 +74,47 @@ def test_undervolt_traces_descend_within_config_window():
         assert run.trace[0] == 880
         assert all(a - b == 10 for a, b in zip(run.trace, run.trace[1:]))
         assert run.trace[-1] >= 820
+
+
+# Configs around the default that move where a run faults, crashes or stops:
+# coarser and finer steps, fewer and more signings per level, a start below
+# the fault onset (every level can fault), a floor at the crash point and one
+# above the onset (no level can fault).
+PINNED_CONFIGS = (
+    {},
+    {"step_mv": 3},
+    {"step_mv": 10},
+    {"signings_per_level": 1},
+    {"signings_per_level": 7},
+    {"signings_per_level": 50},
+    {"start_mv": 840},
+    {"floor_mv": 800},
+    {"floor_mv": 850},
+)
+# SHA-256 over every run record, repr(simulated_seconds) and the final CPU RNG
+# state of each (seed, config) campaign below, recorded while every signing of
+# every level was still simulated: skipping fault-free levels must not move it.
+PINNED_CAMPAIGNS_SHA256 = "b90c2e040ed97885af12ac610d78d8642f5726bdec07dba07a1427ad3adeb35c"
+
+
+def pinned_campaigns_digest() -> str:
+    digest = hashlib.sha256()
+    for seed in range(20):
+        key = CrtRsaKey.generate(256, random.Random(seed))
+        for overrides in PINNED_CONFIGS:
+            cfg = camp.CampaignConfig(seed=seed, max_runs=5, rsa_bits=256, **overrides)
+            platform = Platform.from_profile("x11ssl-cf", seed=seed)
+            result = camp.run_undervolt_campaign(platform, key, cfg)
+            for r in result.runs:
+                record = (r.index, r.outcome, r.glitch_mv, r.trace, r.faulty_sig, r.recovered)
+                digest.update(repr(record).encode())
+            digest.update(repr(result.simulated_seconds).encode())
+            digest.update(repr(platform.cpu.rng.getstate()).encode())
+    return digest.hexdigest()
+
+
+def test_campaign_outputs_pinned_across_seeds_and_configs():
+    assert pinned_campaigns_digest() == PINNED_CAMPAIGNS_SHA256
 
 
 def test_recovered_factor_divides_n():

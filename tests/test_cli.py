@@ -159,6 +159,8 @@ def test_bad_image_maps_to_exit_1(tmp_path, capsys):
         "mode: blocklist\nblocked_commands: [0xZZ]\n",  # not a command code
         "mode: allowlist\nviolation_verdict: shrug\n",
         "blocked_commands: [0xE4]\n",  # no mode
+        "mode: voltage-cap\ncap_mV: 1400\n",  # misspelt key: not the default cap
+        "mode: blocklist\ntrack_step_sel: \"false\"\n",  # a string, not a YAML bool
         "- mode: blocklist\n",  # not a mapping
         "mode: [blocklist\n",  # YAML syntax error
     ],

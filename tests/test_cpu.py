@@ -173,6 +173,31 @@ def test_cached_branches_keep_the_fault_stream(supply_mv):
     assert crt_branches.cache_info().maxsize is not None
 
 
+@st.composite
+def fault_models(draw):
+    crash = draw(st.integers(0, 1500))
+    fault = draw(st.integers(crash + 1, 1600))
+    return FaultModel(
+        v_crash_mv=crash,
+        v_fault_mv=fault,
+        v_abs_max_mv=draw(st.integers(fault + 1, 2000)),
+        p_fault_max=draw(st.floats(0, 1)),
+        stray_fault_weight=draw(st.floats(0, 100)),
+        brick_events_needed=draw(st.integers(1, 5)),
+    )
+
+
+@given(fault_models(), st.integers(0, 2500), st.integers(0, 2**32))
+def test_fault_free_is_exactly_a_drawless_clean_signing(model, supply_mv, seed):
+    """What lets the undervolt campaign skip a fault-free level's signings."""
+    cpu = Cpu(model=model, seed=seed)
+    cpu.supply_mv = supply_mv  # bypass set_supply's crash/brick transitions
+    fault_free = cpu.fault_free
+    before = cpu.rng.getstate()
+    sig = cpu.sign_crt_rsa(KEY, 42)
+    assert fault_free is (sig == KEY.sign(42) and cpu.rng.getstate() == before)
+
+
 @pytest.mark.parametrize(
     "fault_model",
     [

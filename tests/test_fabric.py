@@ -147,3 +147,17 @@ def test_cpu_override_write_stalls_on_any_bus(tmp_path, bus):
         t = Transaction(0x20, Direction.WRITE, command, pm.encode_value(command, value))
         assert platform.cpu_pmbus_write(bus, t).ok
     assert platform.cpu.status is CpuStatus.STALLED
+
+
+def test_ocp_limit_below_the_load_trips_the_rail_on_settle(x11):
+    """Settle feeds the rail's load current to the OCP check and the collapse to the CPU."""
+    limit = int(x11.config.nominal_load_a) - 1
+    payload = pm.encode_value(pm.CMD_MFR_OCP_TOTAL_SET, limit)
+    t = Transaction(0x20, Direction.WRITE, pm.CMD_MFR_OCP_TOTAL_SET, payload)
+    assert x11.fabric.master_transfer("bmc", 2, t).ok
+    assert x11.main_vrm.powered and x11.cpu.status is CpuStatus.RUNNING
+    x11.settle()
+    assert not x11.main_vrm.powered
+    assert x11.main_vrm.output_mv == 0
+    assert x11.cpu.supply_mv == 0
+    assert x11.cpu.status is CpuStatus.CRASHED

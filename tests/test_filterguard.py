@@ -124,3 +124,4 @@ def test_policy_from_yaml_dict():
     assert policy.violation_verdict is Verdict.BLOCK
     cap = policy_from_dict({"mode": "voltage-cap", "cap_mv": 1400})
     assert cap.cap_mv == 1400 and cap.track_step_sel
+    assert not policy_from_dict({"mode": "blocklist", "track_step_sel": False}).track_step_sel
