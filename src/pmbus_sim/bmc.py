@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-from cryptography.hazmat.primitives.asymmetric import rsa
+from typing import TYPE_CHECKING
 
 from . import firmware as fw
 from .errors import (
@@ -25,6 +24,9 @@ from .errors import (
 from .fabric import BusReply, Fabric
 from .profiles import BmcSpec
 from .protocol import Direction, Transaction
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric import rsa
 
 
 class ChannelKind(enum.Enum):
@@ -42,7 +44,7 @@ class Channel:
 @dataclass(frozen=True)
 class UpgradeResult:
     accepted: bool
-    reason: str | None = None  # BadMagic | BadCrc | BadSignature | Unauthorized
+    reason: str | None = None  # Unauthorized | BadCrc | BadSignature | a FirmwareError class name
 
 
 class Bmc:
@@ -84,18 +86,20 @@ class Bmc:
     def upgrade_firmware(self, channel: Channel, package_bytes: bytes) -> UpgradeResult:
         if not self._authorized(channel):
             return UpgradeResult(False, "Unauthorized")
+        x12 = self.spec.x12_policy
         try:
             pkg = fw.parse_package(package_bytes, self.firmware_key)
-        except FirmwareError:
-            return UpgradeResult(False, "BadMagic")
-        x12 = self.spec.x12_policy
-        report = fw.verify(pkg, self.signing_pubkey if x12 else None)
-        if not all(report.section_crc.values()) or not report.half_crc_ok:
-            return UpgradeResult(False, "BadCrc")
-        if x12 and report.signature != "pass":
-            return UpgradeResult(False, "BadSignature")
+            report = fw.verify(pkg, self.signing_pubkey if x12 else None)
+            if not all(report.section_crc.values()) or not report.half_crc_ok:
+                return UpgradeResult(False, "BadCrc")
+            if x12 and report.signature != "pass":
+                return UpgradeResult(False, "BadSignature")
+            root_shell = fw.has_root_shell(pkg, self.firmware_key)
+        except FirmwareError as exc:
+            return UpgradeResult(False, type(exc).__name__)
+        # commit only once the whole image, rootfs included, has parsed
         self.installed_digest = pkg.digest
-        self.root_shell = fw.has_root_shell(pkg, self.firmware_key)
+        self.root_shell = root_shell
         return UpgradeResult(True)
 
     # -- I2C surfaces ------------------------------------------------------------

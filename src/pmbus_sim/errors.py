@@ -69,6 +69,10 @@ class DecryptFailed(FirmwareError):
     pass
 
 
+class BadArchive(FirmwareError):
+    """Record archive or table entry that does not parse: a truncated record or a non-UTF-8 name."""
+
+
 class NoSuchEntry(FirmwareError):
     """Archive entry not found while patching."""
 

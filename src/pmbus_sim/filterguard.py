@@ -50,8 +50,17 @@ ALLOW_ALL = FilterPolicy(mode=PolicyMode.BLOCKLIST, blocked_commands=frozenset()
 def policy_from_dict(doc: dict) -> FilterPolicy:
     """Policy from its YAML/JSON form; anything malformed raises ``InvalidPolicy``."""
 
+    def code(v) -> int:
+        if isinstance(v, str):
+            v = int(v, 0)
+        if type(v) is not int or not 0 <= v <= 0xFF:
+            raise ValueError(f"command code {v!r} is not an int in 0x00..0xFF")
+        return v
+
     def codes(values):
-        return frozenset(int(v, 0) if isinstance(v, str) else int(v) for v in values)
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"command codes {values!r} are not a list")
+        return frozenset(code(v) for v in values)
 
     if not isinstance(doc, dict):
         raise InvalidPolicy(f"malformed policy: expected a mapping, got {type(doc).__name__}")
@@ -61,16 +70,19 @@ def policy_from_dict(doc: dict) -> FilterPolicy:
     track_step_sel = doc.get("track_step_sel", True)
     if not isinstance(track_step_sel, bool):
         raise InvalidPolicy(f"malformed policy: track_step_sel {track_step_sel!r} is not a bool")
+    cap_mv = doc.get("cap_mv", 1520)
+    if type(cap_mv) is not int:
+        raise InvalidPolicy(f"malformed policy: cap_mv {cap_mv!r} is not an int")
     try:
         return FilterPolicy(
             mode=PolicyMode(doc["mode"]),
             blocked_commands=codes(doc.get("blocked_commands", ())),
             allowed_commands=codes(doc.get("allowed_commands", ())),
-            cap_mv=int(doc.get("cap_mv", 1520)),
+            cap_mv=cap_mv,
             track_step_sel=track_step_sel,
             violation_verdict=Verdict(doc.get("violation_verdict", "jam")),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidPolicy(f"malformed policy: {type(exc).__name__}: {exc}") from exc
 
 

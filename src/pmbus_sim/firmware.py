@@ -22,17 +22,24 @@ import json
 import lzma
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import padding as asym_padding
-from cryptography.hazmat.primitives.asymmetric import rsa
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-from cryptography.hazmat.primitives.padding import PKCS7
-from cryptography.exceptions import InvalidSignature
+from .errors import (
+    BadArchive,
+    BadFooter,
+    BadMagic,
+    DecryptFailed,
+    NoSuchEntry,
+    TruncatedImage,
+)
 
-from .errors import BadFooter, BadMagic, DecryptFailed, NoSuchEntry, TruncatedImage
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric import rsa
+
+# `cryptography` is imported inside the functions that encrypt, decrypt, sign,
+# verify or handle RSA keys, so bus-only processes never load it.
 
 FOOTER_MAGIC = b"ATENs_FW"
 SIG_MAGIC = b"ATENSIG0"
@@ -146,12 +153,16 @@ class VerificationReport:
 
 
 def _aes_cbc(key: KeyMaterial, data: bytes, encrypt: bool) -> bytes:
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
     cipher = Cipher(algorithms.AES(key.aes_key), modes.CBC(key.aes_iv))
     op = cipher.encryptor() if encrypt else cipher.decryptor()
     return op.update(data) + op.finalize()
 
 
 def _encrypt_padded(key: KeyMaterial, data: bytes) -> bytes:
+    from cryptography.hazmat.primitives.padding import PKCS7
+
     padder = PKCS7(128).padder()
     return _aes_cbc(key, padder.update(data) + padder.finalize(), encrypt=True)
 
@@ -159,6 +170,8 @@ def _encrypt_padded(key: KeyMaterial, data: bytes) -> bytes:
 def _decrypt_padded(key: KeyMaterial, data: bytes) -> bytes:
     if not data or len(data) % 16:
         raise DecryptFailed("ciphertext not block aligned")
+    from cryptography.hazmat.primitives.padding import PKCS7
+
     plain = _aes_cbc(key, data, encrypt=False)
     unpadder = PKCS7(128).unpadder()
     try:
@@ -198,15 +211,20 @@ def unpack_archive(blob: bytes, key: KeyMaterial) -> list[tuple[str, bytes]]:
         raise DecryptFailed("archive header did not decrypt to a valid stream") from exc
     entries = []
     pos = 0
-    while pos < len(raw):
-        (name_len,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos : pos + name_len].decode()
-        pos += name_len
-        (data_len,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        entries.append((name, raw[pos : pos + data_len]))
-        pos += data_len
+    try:
+        while pos < len(raw):
+            (name_len,) = struct.unpack_from("<H", raw, pos)
+            pos += 2
+            name = raw[pos : pos + name_len].decode()
+            pos += name_len
+            (data_len,) = struct.unpack_from("<I", raw, pos)
+            pos += 4
+            if pos + data_len > len(raw):
+                raise BadArchive(f"record {name!r} runs past the archive end")
+            entries.append((name, raw[pos : pos + data_len]))
+            pos += data_len
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise BadArchive(f"archive record at byte {pos}: {exc}") from exc
     return entries
 
 
@@ -239,6 +257,9 @@ def _assemble(
     )
     image = bytes(body) + table_enc + footer.pack()
     if signer is not None:
+        from cryptography.hazmat.primitives import hashes
+        from cryptography.hazmat.primitives.asymmetric import padding as asym_padding
+
         sig = signer.sign(image, asym_padding.PKCS1v15(), hashes.SHA256())
         image += sig + struct.pack("<I", len(sig)) + SIG_MAGIC
     return image
@@ -293,7 +314,10 @@ def parse_package(data: bytes, key: KeyMaterial | None = None) -> FirmwarePackag
                 raise DecryptFailed("firmware table record tag mismatch")
             if s_off + s_len > footer.body_len:
                 raise BadFooter("section extends past body")
-            name = raw_name.rstrip(b"\x00").decode()
+            try:
+                name = raw_name.rstrip(b"\x00").decode()
+            except UnicodeDecodeError as exc:
+                raise BadArchive(f"firmware table name {raw_name!r}") from exc
             sections.append(Section(name, s_off, s_len, s_crc, image[s_off : s_off + s_len]))
     return FirmwarePackage(
         footer=footer,
@@ -322,6 +346,10 @@ def verify(pkg: FirmwarePackage, pubkey: rsa.RSAPublicKey | None = None) -> Veri
         if pkg.signature is None:
             signature_status = "absent"
         else:
+            from cryptography.exceptions import InvalidSignature
+            from cryptography.hazmat.primitives import hashes
+            from cryptography.hazmat.primitives.asymmetric import padding as asym_padding
+
             try:
                 pubkey.verify(pkg.signature, pkg.image, asym_padding.PKCS1v15(), hashes.SHA256())
                 signature_status = "pass"
@@ -361,18 +389,26 @@ def enable_root_shell(pkg: FirmwarePackage, key: KeyMaterial) -> FirmwarePackage
 
 
 def generate_signing_key() -> rsa.RSAPrivateKey:
+    from cryptography.hazmat.primitives.asymmetric import rsa
+
     return rsa.generate_private_key(public_exponent=65537, key_size=2048)
 
 
 def load_private_key(path: str | Path) -> rsa.RSAPrivateKey:
+    from cryptography.hazmat.primitives import serialization
+
     return serialization.load_pem_private_key(Path(path).read_bytes(), password=None)
 
 
 def load_public_key(path: str | Path) -> rsa.RSAPublicKey:
+    from cryptography.hazmat.primitives import serialization
+
     return serialization.load_pem_public_key(Path(path).read_bytes())
 
 
 def save_private_key(key: rsa.RSAPrivateKey, path: str | Path) -> None:
+    from cryptography.hazmat.primitives import serialization
+
     Path(path).write_bytes(
         key.private_bytes(
             serialization.Encoding.PEM,
@@ -383,6 +419,8 @@ def save_private_key(key: rsa.RSAPrivateKey, path: str | Path) -> None:
 
 
 def save_public_key(key: rsa.RSAPublicKey, path: str | Path) -> None:
+    from cryptography.hazmat.primitives import serialization
+
     Path(path).write_bytes(
         key.public_bytes(
             serialization.Encoding.PEM, serialization.PublicFormat.SubjectPublicKeyInfo

@@ -1,11 +1,20 @@
 """BMC channel authorization, firmware upgrade policy and I2C surfaces."""
 
+import lzma
+import struct
+
 import pytest
 
 from pmbus_sim import firmware as fw
 from pmbus_sim import protocol as pm
 from pmbus_sim.bmc import Channel, ChannelKind
-from pmbus_sim.errors import AuthFailure, FilteredByPolicy, NoRootShell, Unauthorized
+from pmbus_sim.errors import (
+    AuthFailure,
+    FilteredByPolicy,
+    NoRootShell,
+    PmbusSimError,
+    Unauthorized,
+)
 from pmbus_sim.protocol import Direction, Transaction
 
 
@@ -53,11 +62,46 @@ def test_unauthorized_channels_refused(x11):
 
 
 def test_upgrade_rejects_garbage_and_bitrot(x11):
-    assert x11.bmc.upgrade_firmware(kcs(), b"not a firmware image").reason == "BadMagic"
+    assert x11.bmc.upgrade_firmware(kcs(), b"not a firmware image").reason == "TruncatedImage"
     img = bytearray(x11.build_stock_firmware())
     img[10] ^= 0xFF
     assert x11.bmc.upgrade_firmware(kcs(), bytes(img)).reason == "BadCrc"
     assert not x11.bmc.root_shell
+
+
+def image_with_rootfs_archive(platform, raw_archive):
+    """A CRC-valid image whose rootfs holds `raw_archive`, compressed and header-encrypted."""
+    key = platform.firmware_key
+    pkg = fw.parse_package(platform.build_stock_firmware(), key)
+    sections = {s.name: s.data for s in pkg.sections}
+    sections["rootfs"] = fw._crypt_header(key, lzma.compress(raw_archive), encrypt=True)
+    return fw._assemble(sections, key, pkg.footer.version)
+
+
+@pytest.mark.parametrize(
+    "raw_archive",
+    [
+        struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<I", 0),  # non-UTF-8 record name
+        struct.pack("<H", 9) + b"SMASH/msh" + b"\x01\x00",  # record cut inside its length field
+        struct.pack("<H", 9) + b"SMASH/msh" + struct.pack("<I", 64) + b"#!",  # data cut short
+    ],
+    ids=["non-utf8-name", "cut-length", "cut-data"],
+)
+def test_upgrade_refuses_bad_rootfs_archive_without_committing(x11, raw_archive):
+    image = image_with_rootfs_archive(x11, raw_archive)
+    with pytest.raises(PmbusSimError):
+        fw.rootfs_entries(fw.parse_package(image, x11.firmware_key), x11.firmware_key)
+    result = x11.bmc.upgrade_firmware(kcs(), image)
+    assert (result.accepted, result.reason) == (False, "BadArchive")
+    assert x11.bmc.installed_digest is None and not x11.bmc.root_shell
+
+
+def test_upgrade_reports_the_real_parse_failure(x11):
+    wrong_key = fw.KeyMaterial(bytes(16), bytes(16))
+    pkg = fw.parse_package(x11.build_stock_firmware(), x11.firmware_key)
+    foreign = fw.repack(pkg, wrong_key)
+    assert x11.bmc.upgrade_firmware(kcs(), foreign).reason == "DecryptFailed"
+    assert x11.bmc.installed_digest is None
 
 
 def test_stock_firmware_grants_no_shell(x11):

@@ -154,7 +154,13 @@ def test_bad_image_maps_to_exit_1(tmp_path, capsys):
     [
         "mode: bogus\n",  # unknown mode
         "mode: voltage-cap\ntrack_step_sel: false\n",  # an unsound cap
-        "mode: voltage-cap\ncap_mv: .inf\n",  # int(inf) overflows
+        "mode: voltage-cap\ncap_mv: .inf\n",  # a float, not an int
+        "mode: voltage-cap\ncap_mv: true\n",  # a bool is not a 1 mV cap
+        "mode: voltage-cap\ncap_mv: 1400.9\n",  # not truncated to 1400
+        "mode: blocklist\nblocked_commands: [true, 0x1FF]\n",  # not command bytes
+        "mode: blocklist\nblocked_commands: [true]\n",
+        "mode: allowlist\nallowed_commands: [0x1FF]\n",
+        "mode: blocklist\nblocked_commands: \"12\"\n",  # a string, not a list of codes
         "mode: blocklist\nblocked_commands: [.inf]\n",
         "mode: blocklist\nblocked_commands: [0xZZ]\n",  # not a command code
         "mode: allowlist\nviolation_verdict: shrug\n",

@@ -155,3 +155,40 @@ def test_runtime_does_not_import_sympy():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+BUS_THEN_FIRMWARE = """
+import random, sys
+from pmbus_sim import (
+    CampaignConfig, Chain, CrtRsaKey, Platform, detect, run_overvolt_attack,
+    run_power_down_attack, run_undervolt_campaign,
+)
+
+assert detect(Platform.from_profile("x11ssl-cf").fabric, 1).candidates
+key = CrtRsaKey.generate(512, random.Random(42))
+undervolt = run_undervolt_campaign(
+    Platform.from_profile("x11ssl-cf", seed=42), key, CampaignConfig(seed=42, max_runs=2)
+)
+assert len(undervolt.runs) == 2
+assert run_overvolt_attack(Platform.from_profile("x11ssl-cf", seed=1)).cpu_status == "bricked"
+run_power_down_attack(Platform.from_profile("e3c246d4i-2t"))
+print("cryptography" in sys.modules)
+
+platform = Platform.from_profile("x11ssl-cf", seed=42)
+cfg = CampaignConfig(seed=42, chain=Chain.KCS_FIRMWARE, max_runs=1)
+run_undervolt_campaign(platform, key, cfg)
+print(platform.bmc.root_shell, "cryptography" in sys.modules)
+"""
+
+
+def test_bus_attacks_do_not_import_cryptography():
+    """Only firmware paths load `cryptography`; it still loads on demand for them."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pmbus_sim.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", BUS_THEN_FIRMWARE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split("\n")[:2] == ["False", "True True"]

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmbus_sim import firmware as fw
-from pmbus_sim.errors import BadFooter, BadMagic, DecryptFailed, NoSuchEntry, TruncatedImage
+from pmbus_sim.errors import (
+    BadArchive,
+    BadFooter,
+    BadMagic,
+    DecryptFailed,
+    NoSuchEntry,
+    TruncatedImage,
+)
 
 KEY = fw.KeyMaterial(bytes(range(16)), bytes(range(16, 32)))
 
@@ -49,6 +56,17 @@ def test_wrong_key_fails_cleanly():
     other = fw.KeyMaterial(bytes(16), bytes(16))
     with pytest.raises(DecryptFailed):
         fw.parse_package(img, other)
+
+
+def test_non_utf8_table_name_fails_cleanly():
+    img = build()
+    footer = fw.FwFooter.unpack(img[-fw.FOOTER_SIZE :])
+    table_blob = img[footer.table_off : footer.table_off + footer.table_len]
+    table = bytearray(fw._decrypt_padded(KEY, table_blob))
+    table[len(fw.TABLE_TAG)] = 0xFF  # first byte of the first record's name
+    bad = img[: footer.table_off] + fw._encrypt_padded(KEY, bytes(table)) + img[-fw.FOOTER_SIZE :]
+    with pytest.raises(BadArchive):
+        fw.parse_package(bad, KEY)
 
 
 def test_parse_without_key_keeps_table_opaque():
