@@ -282,16 +282,12 @@ def run_overvolt_attack(
 @dataclass
 class PowerDownOutcome:
     status_after_attack: str
-    status_after_remote_powercycle: str | None = None
-    status_after_physical_cycle: str | None = None
+    status_after_remote_powercycle: str
+    status_after_physical_cycle: str
 
 
-def run_power_down_attack(
-    platform: Platform, channel: str = "cpu", full_cycle: bool = True
-) -> PowerDownOutcome:
+def run_power_down_attack(platform: Platform, channel: str = "cpu") -> PowerDownOutcome:
     bus, address = next(iter(platform.vrms))
-    if channel not in platform.fabric.masters:
-        raise ChannelBlocked(f"no such master {channel!r}")
     local_bus = platform.fabric.local_bus(channel, bus)
     if local_bus is None:
         raise ChannelBlocked(f"{channel} has no route to the VRM bus")
@@ -315,11 +311,11 @@ def run_power_down_attack(
     except CpuUnavailable:
         pass  # rail already collapsed under the CPU mid-sequence
 
-    outcome = PowerDownOutcome(status_after_attack=platform.status)
-    if full_cycle:
-        outcome.status_after_remote_powercycle = platform.remote_powercycle()
-        outcome.status_after_physical_cycle = platform.physical_power_cycle()
-    return outcome
+    return PowerDownOutcome(
+        status_after_attack=platform.status,
+        status_after_remote_powercycle=platform.remote_powercycle(),
+        status_after_physical_cycle=platform.physical_power_cycle(),
+    )
 
 
 def factor_is_sound(n: int, factor: int | None) -> bool:

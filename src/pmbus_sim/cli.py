@@ -7,7 +7,7 @@ import json
 import random
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import yaml
@@ -19,7 +19,7 @@ from . import protocol as pm
 from .crypto import CrtRsaKey
 from .detect import detect as run_detect
 from .detect import render_report
-from .errors import InvalidAddress, InvalidPolicy, InvalidTranscript, PmbusSimError
+from .errors import InvalidAddress, InvalidConfig, InvalidPolicy, InvalidTranscript, PmbusSimError
 from .machine import Platform
 from .profiles import BUILTIN_PROFILES, load_profile
 from .protocol import Direction, Transaction
@@ -92,16 +92,23 @@ def _cmd_detect(args) -> int:
 
 
 def _load_campaign_config(args) -> camp.CampaignConfig:
-    overrides = {}
-    if args.config:
-        overrides = yaml.safe_load(Path(args.config).read_text()) or {}
-    chain = camp.Chain(args.chain) if args.chain else camp.Chain(overrides.get("chain", "ipmi-i2c"))
-    fields = {
-        k: overrides[k]
-        for k in ("start_mv", "floor_mv", "step_mv", "signings_per_level", "max_runs", "rsa_bits")
-        if k in overrides
-    }
-    return camp.CampaignConfig(seed=args.seed, chain=chain, **fields)
+    """Config from ``--seed``, ``--chain`` and ``--config``; anything malformed raises ``InvalidConfig``."""
+    try:
+        doc = yaml.safe_load(Path(args.config).read_text()) if args.config else None
+        doc = {} if doc is None else doc
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a mapping, got {type(doc).__name__}")
+        numbers = {f.name for f in fields(camp.CampaignConfig)} - {"seed", "chain"}
+        unknown = set(doc) - numbers - {"chain"}
+        if unknown:
+            raise ValueError(f"unknown key(s) {sorted(unknown, key=str)}")
+        not_ints = sorted(k for k in numbers & set(doc) if type(doc[k]) is not int)
+        if not_ints:
+            raise ValueError(f"not an int: {', '.join(not_ints)}")
+        chain = camp.Chain(doc.pop("chain", "ipmi-i2c"))  # checked even when --chain overrides it
+        return camp.CampaignConfig(seed=args.seed, chain=camp.Chain(args.chain or chain), **doc)
+    except (yaml.YAMLError, ValueError) as exc:
+        raise InvalidConfig(f"malformed campaign config: {exc}") from exc
 
 
 def _cmd_attack_undervolt(args) -> int:
@@ -231,7 +238,7 @@ def _cmd_filter_simulate(args) -> int:
     for lineno, line in enumerate(Path(args.replay).read_text().splitlines(), start=1):
         if line.strip():
             bus_filter.submit(parse_transaction_text(line, lineno))
-    for t, verdict in bus_filter.audit_log():
+    for t, verdict in bus_filter.log:
         print(f"{verdict.value.upper():5s} {t.text()}")
     return 0
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .crypto import CrtRsaKey, crt_branches, crt_combine
 from .errors import CpuUnavailable, OutOfRange
@@ -90,11 +90,9 @@ class Cpu:
         self.status = CpuStatus.RUNNING
         self.supply_mv = nominal_mv
         self.damage_events = 0
-        self.rng_seed = seed
         self.rng = random.Random(seed)
 
     def reseed(self, seed: int) -> None:
-        self.rng_seed = seed
         self.rng = random.Random(seed)
 
     # -- supply ----------------------------------------------------------------
@@ -167,27 +165,3 @@ class Cpu:
             if p_fault > 0 and self.rng.random() < p_fault:
                 return self._flip_bit(truth, truth.bit_length()), i
         return None
-
-    # -- persistence -------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "supply_mv": self.supply_mv,
-            "damage_events": self.damage_events,
-            "rng_seed": self.rng_seed,
-            "nominal_mv": self.nominal_mv,
-            "model": asdict(self.model),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Cpu":
-        cpu = cls(
-            model=FaultModel(**data["model"]),
-            seed=data["rng_seed"],
-            nominal_mv=data["nominal_mv"],
-        )
-        cpu.status = CpuStatus(data["status"])
-        cpu.supply_mv = data["supply_mv"]
-        cpu.damage_events = data["damage_events"]
-        return cpu

@@ -70,7 +70,8 @@ class DecryptFailed(FirmwareError):
 
 
 class BadArchive(FirmwareError):
-    """Record archive or table entry that does not parse: a truncated record or a non-UTF-8 name."""
+    """Record archive or firmware table that does not parse: a truncated record, a non-UTF-8 name,
+    or a table that does not list exactly the four sections."""
 
 
 class NoSuchEntry(FirmwareError):
@@ -103,6 +104,10 @@ class InvalidProfile(PmbusSimError):
 
 class InvalidPolicy(PmbusSimError):
     """Malformed filter policy: an unknown mode or verdict, a bad value, or an unsound cap."""
+
+
+class InvalidConfig(PmbusSimError):
+    """Malformed campaign config: an unknown key or chain, or a value the campaign rejects."""
 
 
 class InvalidTranscript(PmbusSimError):

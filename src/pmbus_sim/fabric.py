@@ -10,10 +10,11 @@ per physical bus sees every transaction before delivery and can veto it.
 from __future__ import annotations
 
 import enum
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
-from .errors import AddressInUse, InterposerPresent, UnknownJumper
+from .errors import AddressInUse, ChannelBlocked, InterposerPresent, UnknownJumper
 from .protocol import ADDR_MAX, ADDR_MIN, Transaction
 
 
@@ -33,15 +34,12 @@ class BusReply:
         return self.status is ReplyStatus.ACK
 
 
-ACK = ReplyStatus.ACK
 NACK_REPLY = BusReply(ReplyStatus.NACK)
 JAMMED_REPLY = BusReply(ReplyStatus.JAMMED)
 
 
 class Device(Protocol):
     def handle(self, t: Transaction) -> BusReply: ...
-
-    def probe(self) -> bool: ...
 
     def fingerprint(self) -> object: ...
 
@@ -51,9 +49,6 @@ class DummyDevice:
 
     def handle(self, t: Transaction) -> BusReply:
         return NACK_REPLY
-
-    def probe(self) -> bool:
-        return True
 
     def fingerprint(self) -> object:
         return "dummy"
@@ -67,21 +62,20 @@ class Interposer(Protocol):
         ...
 
 
-@dataclass
+@dataclass(frozen=True)
 class MasterPort:
     name: str
-    bus_map: dict[int, int]  # local bus id -> physical bus id
+    bus_map: Mapping[int, int]  # local bus id -> physical bus id
     requires_jumper: str | None = None
 
 
 class Fabric:
-    def __init__(self, buses: set[int], jumpers: dict[str, bool] | None = None):
-        self.buses = set(buses)
+    def __init__(self, jumpers: Mapping[str, bool] | None = None):
         self.jumpers: dict[str, bool] = dict(jumpers or {})
         self.devices: dict[tuple[int, int], Device] = {}
         self.masters: dict[str, MasterPort] = {}
-        self.device_jumpers: dict[tuple[int, int], list[str]] = {}
-        self.write_masters: dict[tuple[int, int], set[str]] = {}
+        self.device_jumpers: dict[tuple[int, int], Sequence[str]] = {}
+        self.write_masters: dict[tuple[int, int], Collection[str]] = {}
         self.interposers: dict[int, Interposer] = {}
         self.transcript: list[str] = []
 
@@ -95,20 +89,20 @@ class Fabric:
         bus: int,
         address: int,
         device: Device,
-        required_jumpers: list[str] | None = None,
-        write_masters: set[str] | None = None,
+        required_jumpers: Sequence[str] = (),
+        write_masters: Collection[str] | None = None,
     ) -> None:
+        """``write_masters`` None lets every master write; an empty collection lets none."""
         if not ADDR_MIN <= address <= ADDR_MAX:
             raise ValueError(f"address 0x{address:02X} outside 7-bit device range")
         key = (bus, address)
         if key in self.devices:
             raise AddressInUse(f"bus {bus} address 0x{address:02X}")
-        self.buses.add(bus)
         self.devices[key] = device
         if required_jumpers:
-            self.device_jumpers[key] = list(required_jumpers)
+            self.device_jumpers[key] = required_jumpers
         if write_masters is not None:
-            self.write_masters[key] = set(write_masters)
+            self.write_masters[key] = write_masters
 
     def insert_interposer(self, bus: int, interposer: Interposer) -> None:
         if bus in self.interposers:
@@ -122,16 +116,22 @@ class Fabric:
 
     # -- routing --------------------------------------------------------------
 
+    def _port(self, master: str) -> MasterPort:
+        port = self.masters.get(master)
+        if port is None:
+            raise ChannelBlocked(f"no such master {master!r}")
+        return port
+
     def physical_bus(self, master: str, bus: int) -> int | None:
         """Physical bus behind a master's local bus number; None if unrouted or gated."""
-        port = self.masters[master]
+        port = self._port(master)
         if port.requires_jumper and not self.jumpers.get(port.requires_jumper, False):
             return None
         return port.bus_map.get(bus)
 
     def local_bus(self, master: str, physical: int) -> int | None:
         """A master's own number for a physical bus (no jumper check); None if unmapped."""
-        for local, mapped in self.masters[master].bus_map.items():
+        for local, mapped in self._port(master).bus_map.items():
             if mapped == physical:
                 return local
         return None
@@ -150,8 +150,6 @@ class Fabric:
         return device, phys
 
     def master_transfer(self, master: str, bus: int, t: Transaction) -> BusReply:
-        if master not in self.masters:
-            raise KeyError(f"unknown master {master!r}")
         device, phys = self._reachable_device(master, bus, t.address)
         if device is None:
             return NACK_REPLY
@@ -169,13 +167,12 @@ class Fabric:
         return reply
 
     def scan_bus(self, master: str, bus: int) -> set[int]:
-        """i2cdetect-style sweep: zero-length write probe, no state changes."""
-        found = set()
-        for address in range(ADDR_MIN, ADDR_MAX + 1):
-            device, _ = self._reachable_device(master, bus, address)
-            if device is not None and device.probe():
-                found.add(address)
-        return found
+        """i2cdetect-style sweep: every reachable device ACKs the probe; no state changes."""
+        return {
+            address
+            for address in range(ADDR_MIN, ADDR_MAX + 1)
+            if self._reachable_device(master, bus, address)[0] is not None
+        }
 
     def state_fingerprint(self) -> tuple:
         return tuple(

@@ -91,7 +91,6 @@ class BusFilter:
 
     def __init__(self, policy: FilterPolicy):
         self.policy = policy
-        self.observed_page = 0
         self.observed_step_10mv = False
         self.log: list[tuple[Transaction, Verdict]] = []
 
@@ -122,9 +121,7 @@ class BusFilter:
     def _observe(self, t: Transaction) -> None:
         if not (t.is_write and t.payload) or not self.policy.track_step_sel:
             return
-        if t.command == pm.CMD_PAGE:
-            self.observed_page = t.payload[0]
-        elif t.command == pm.CMD_MFR_VR_CONFIG:
+        if t.command == pm.CMD_MFR_VR_CONFIG:
             value = int.from_bytes(t.payload, "little")
             self.observed_step_10mv = bool(value & pm.VR_CONFIG_VID_STEP_SEL)
 
@@ -137,6 +134,3 @@ class BusFilter:
         if verdict is Verdict.BLOCK:
             return NACK_REPLY
         return JAMMED_REPLY
-
-    def audit_log(self) -> list[tuple[Transaction, Verdict]]:
-        return list(self.log)

@@ -292,6 +292,8 @@ def _split_signature(data: bytes) -> tuple[bytes, bytes | None]:
 
 
 def parse_package(data: bytes, key: KeyMaterial | None = None) -> FirmwarePackage:
+    """Split an image into footer, sections and signature; with ``key``, decrypt the table,
+    which must name exactly ``SECTION_ORDER`` in order (else ``BadArchive``)."""
     if len(data) < FOOTER_SIZE:
         raise TruncatedImage(f"{len(data)} bytes")
     image, signature = _split_signature(data)
@@ -319,6 +321,8 @@ def parse_package(data: bytes, key: KeyMaterial | None = None) -> FirmwarePackag
             except UnicodeDecodeError as exc:
                 raise BadArchive(f"firmware table name {raw_name!r}") from exc
             sections.append(Section(name, s_off, s_len, s_crc, image[s_off : s_off + s_len]))
+        if tuple(s.name for s in sections) != SECTION_ORDER:
+            raise BadArchive(f"firmware table names {[s.name for s in sections]}, not {list(SECTION_ORDER)}")
     return FirmwarePackage(
         footer=footer,
         sections=sections,

@@ -16,7 +16,7 @@ from . import protocol as pm
 from .bmc import Bmc
 from .cpu import Cpu, CpuStatus
 from .errors import ChainUnavailable
-from .fabric import BusReply, DummyDevice, Fabric, MasterPort
+from .fabric import BusReply, DummyDevice, Fabric
 from .profiles import ProfileConfig, load_profile
 from .protocol import Transaction
 from .vrm import VrmDevice
@@ -26,20 +26,14 @@ class Platform:
     def __init__(self, config: ProfileConfig, seed: int = 0):
         self.config = config
         self.name = config.name
-        self.fabric = Fabric(set(config.buses), dict(config.jumpers))
-        for master in config.masters:
-            self.fabric.add_master(MasterPort(master.name, dict(master.buses), master.requires_jumper))
+        self.fabric = Fabric(config.jumpers)
+        for port in config.masters:
+            self.fabric.add_master(port)
 
         self.vrms: dict[tuple[int, int], VrmDevice] = {}
         for dev in config.devices:
             device = DummyDevice() if dev.vrm is None else VrmDevice(dev.vrm)
-            self.fabric.attach_device(
-                dev.bus,
-                dev.address,
-                device,
-                required_jumpers=list(dev.requires_jumpers),
-                write_masters=set(dev.write_masters) if dev.write_masters else None,
-            )
+            self.fabric.attach_device(dev.bus, dev.address, device, dev.requires_jumpers, dev.write_masters)
             if dev.vrm is not None:
                 self.vrms[(dev.bus, dev.address)] = device
 

@@ -2,11 +2,12 @@
 
 Built-in profiles (``x11ssl-cf``, ``x12dpi-nt6``, ``e3c246d4i-2t``) ship as
 YAML files next to this module; user profiles load from arbitrary paths
-with the same schema. Parsing builds the runtime configs directly: each VRM
-entry becomes a ``VrmConfig`` and ``fault_model`` a ``FaultModel``. A
-document with an unknown key, generation, vendor or device kind, with a
-missing or mistyped value, without a ``cpu`` and a ``bmc`` master or without
-a VRM raises ``InvalidProfile``.
+with the same schema. Parsing builds the runtime types directly: each master
+becomes a ``MasterPort``, each VRM entry a ``VrmConfig`` and ``fault_model`` a
+``FaultModel``. A document with an unknown key, generation, vendor or device
+kind, with a missing or mistyped value, with a jumper or master name that the
+profile does not define, without a ``cpu`` and a ``bmc`` master or without a
+VRM raises ``InvalidProfile``.
 
 Each distinct profile text is parsed once per process and the resulting
 ``ProfileConfig`` is shared by every platform built from it, so it is
@@ -25,24 +26,18 @@ import yaml
 
 from .cpu import FaultModel
 from .errors import InvalidProfile, UnknownProfile
+from .fabric import MasterPort
 from .vrm import VrmConfig, VrmVendor
 
 BUILTIN_PROFILES = ("x11ssl-cf", "x12dpi-nt6", "e3c246d4i-2t")
 GENERATIONS = ("X11", "X12")
 
-_TOP_KEYS = {"name", "buses", "jumpers", "masters", "devices", "bmc", "fault_model", "nominal_load_a"}
+_TOP_KEYS = {"name", "jumpers", "masters", "devices", "bmc", "fault_model", "nominal_load_a"}
 _MASTER_KEYS = {"buses", "requires_jumper"}
 _DEVICE_KEYS = {"bus", "address", "kind", "requires_jumpers", "write_masters"}
 _VRM_KEYS = {"vendor", "initial_vid", "rail_page", "temperature_raw", "ocp_limit_a", "page1_vout"}
 _BMC_KEYS = {"generation", "credentials"}
 _FAULT_MODEL_KEYS = {f.name for f in fields(FaultModel)}
-
-
-@dataclass(frozen=True)
-class MasterSpec:
-    name: str
-    buses: MappingProxyType[int, int]  # local bus id -> physical bus id
-    requires_jumper: str | None = None
 
 
 @dataclass(frozen=True)
@@ -70,35 +65,35 @@ class BmcSpec:
 @dataclass(frozen=True)
 class ProfileConfig:
     name: str
-    buses: tuple[int, ...]
     jumpers: MappingProxyType[str, bool]
-    masters: tuple[MasterSpec, ...]
+    masters: tuple[MasterPort, ...]
     devices: tuple[DeviceSpec, ...]
     bmc: BmcSpec
     fault_model: FaultModel = FaultModel()
     nominal_load_a: float = 60.0
 
 
-def _checked(doc: dict, allowed: set[str], where: str) -> dict:
-    unknown = sorted(map(str, set(doc) - allowed))
+def _checked(names, allowed, what: str):
+    """Return ``names`` (a mapping or a list of names) if each one is in ``allowed``."""
+    unknown = sorted(map(str, set(names).difference(allowed)))
     if unknown:
-        raise InvalidProfile(f"unknown {where} key(s): {', '.join(unknown)}")
-    return doc
+        raise InvalidProfile(f"unknown {what}(s): {', '.join(unknown)}")
+    return names
 
 
-def _parse_master(name: str, spec: dict) -> MasterSpec:
-    _checked(spec, _MASTER_KEYS, f"master {name!r}")
-    buses = MappingProxyType({int(k): int(v) for k, v in spec.get("buses", {}).items()})
-    return MasterSpec(name=name, buses=buses, requires_jumper=spec.get("requires_jumper"))
+def _parse_master(name: str, spec: dict) -> MasterPort:
+    _checked(spec, _MASTER_KEYS, f"master {name!r} key")
+    bus_map = MappingProxyType({int(k): int(v) for k, v in spec.get("buses", {}).items()})
+    return MasterPort(name, bus_map, spec.get("requires_jumper"))
 
 
 def _parse_device(d: dict) -> DeviceSpec:
     if d.get("kind") == "vrm":
-        _checked(d, _DEVICE_KEYS | _VRM_KEYS, "vrm device")
+        _checked(d, _DEVICE_KEYS | _VRM_KEYS, "vrm device key")
         ints = {k: int(d[k]) for k in _VRM_KEYS - {"vendor"} if k in d}
         vrm = VrmConfig(vendor=VrmVendor(d.get("vendor", "mps")), address=int(d["address"]), **ints)
     elif d.get("kind") == "dummy":
-        _checked(d, _DEVICE_KEYS, "dummy device")
+        _checked(d, _DEVICE_KEYS, "dummy device key")
         vrm = None
     else:
         raise InvalidProfile(f"unknown device kind {d.get('kind')!r}")
@@ -112,28 +107,33 @@ def _parse_device(d: dict) -> DeviceSpec:
 
 
 def _parse(doc: dict) -> ProfileConfig:
-    _checked(doc, _TOP_KEYS, "profile")
-    bmc_doc = _checked(doc["bmc"], _BMC_KEYS, "bmc")
+    _checked(doc, _TOP_KEYS, "profile key")
+    bmc_doc = _checked(doc["bmc"], _BMC_KEYS, "bmc key")
     if bmc_doc["generation"] not in GENERATIONS:
         raise InvalidProfile(f"bmc generation {bmc_doc['generation']!r} is not one of {GENERATIONS}")
     if not {"cpu", "bmc"} <= set(doc["masters"]):
         raise InvalidProfile("masters must include cpu and bmc")
+    jumpers = MappingProxyType(
+        {k: v == "connected" if isinstance(v, str) else bool(v) for k, v in doc.get("jumpers", {}).items()}
+    )
+    masters = tuple(_parse_master(name, spec) for name, spec in doc["masters"].items())
     devices = tuple(_parse_device(d) for d in doc.get("devices", ()))
     if all(d.vrm is None for d in devices):
         raise InvalidProfile("a profile needs at least one vrm device")
+    _checked({m.requires_jumper for m in masters} - {None}, jumpers, "jumper")
+    for d in devices:
+        _checked(d.requires_jumpers, jumpers, "jumper")
+        _checked(d.write_masters or (), doc["masters"], "master")
     return ProfileConfig(
         name=doc["name"],
-        buses=tuple(int(b) for b in doc.get("buses", ())),
-        jumpers=MappingProxyType(
-            {k: v == "connected" if isinstance(v, str) else bool(v) for k, v in doc.get("jumpers", {}).items()}
-        ),
-        masters=tuple(_parse_master(name, spec) for name, spec in doc["masters"].items()),
+        jumpers=jumpers,
+        masters=masters,
         devices=devices,
         bmc=BmcSpec(
             generation=bmc_doc["generation"],
             credentials=MappingProxyType(dict(bmc_doc.get("credentials", {}))),
         ),
-        fault_model=FaultModel(**_checked(doc.get("fault_model", {}), _FAULT_MODEL_KEYS, "fault_model")),
+        fault_model=FaultModel(**_checked(doc.get("fault_model", {}), _FAULT_MODEL_KEYS, "fault_model key")),
         nominal_load_a=float(doc.get("nominal_load_a", 60.0)),
     )
 

@@ -92,10 +92,6 @@ def command_info(code: int) -> CommandDescriptor | None:
     return _REGISTRY.get(code)
 
 
-def registry() -> dict[int, CommandDescriptor]:
-    return dict(_REGISTRY)
-
-
 def encode_value(command: int, value: int) -> bytes:
     """Little-endian payload for a registered command, sized from the registry."""
     return value.to_bytes(_REGISTRY[command].data_len, "little")

@@ -129,9 +129,6 @@ class VrmDevice:
 
     # -- bus interface ---------------------------------------------------------
 
-    def probe(self) -> bool:
-        return True
-
     def fingerprint(self) -> object:
         return (
             self.page,

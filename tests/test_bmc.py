@@ -1,5 +1,6 @@
 """BMC channel authorization, firmware upgrade policy and I2C surfaces."""
 
+import dataclasses
 import lzma
 import struct
 
@@ -94,6 +95,18 @@ def test_upgrade_refuses_bad_rootfs_archive_without_committing(x11, raw_archive)
     result = x11.bmc.upgrade_firmware(kcs(), image)
     assert (result.accepted, result.reason) == (False, "BadArchive")
     assert x11.bmc.installed_digest is None and not x11.bmc.root_shell
+
+
+def test_upgrade_refuses_a_table_without_webfs(x11):
+    key = x11.firmware_key
+    img = x11.build_stock_firmware()
+    footer = fw.FwFooter.unpack(img[-fw.FOOTER_SIZE :])
+    plain = fw._decrypt_padded(key, img[footer.table_off : footer.table_off + footer.table_len])
+    table = fw._encrypt_padded(key, plain[: 3 * fw._RECORD_STRUCT.size])  # nvram, rootfs, kernel
+    image = img[: footer.table_off] + table + dataclasses.replace(footer, table_len=len(table)).pack()
+    result = x11.bmc.upgrade_firmware(kcs(), image)
+    assert (result.accepted, result.reason) == (False, "BadArchive")
+    assert x11.bmc.installed_digest is None
 
 
 def test_upgrade_reports_the_real_parse_failure(x11):

@@ -69,6 +69,41 @@ def test_powerdown_json(capsys):
     assert doc["status_after_physical_cycle"] == "running"
 
 
+@pytest.mark.parametrize("command", ["scan", "detect"])
+def test_unknown_master_maps_to_exit_1(capsys, command):
+    assert main([command, "--bus", "1", "--master", "bogus"]) == 1
+    assert "error: ChannelBlocked: no such master 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config_text",
+    [
+        "floor_mv: 950\n",  # above the 900 mV start
+        "chain: bogus\n",
+        "- max_runs: 1\n",  # not a mapping
+        "step_mV: 3\n",  # misspelt key: not the default step
+        "step_mv: 2.5\n",  # a float, not an int
+        "max_runs: true\n",  # a bool, not a run count
+        "seed: 3\n",  # --seed sets the seed
+        "max_runs: [1\n",  # YAML syntax error
+    ],
+)
+def test_malformed_campaign_config_maps_to_exit_1(tmp_path, capsys, config_text):
+    config = tmp_path / "campaign.yaml"
+    config.write_text(config_text)
+    assert main(["attack", "undervolt", "--seed", "1", "--config", str(config)]) == 1
+    assert "error: InvalidConfig: " in capsys.readouterr().err
+
+
+def test_campaign_config_overrides_the_defaults(tmp_path, capsys):
+    config = tmp_path / "campaign.yaml"
+    config.write_text("max_runs: 2\nstep_mv: 3\nchain: ipmi-i2c\n")
+    main(["attack", "undervolt", "--seed", "1", "--config", str(config)])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stats"]["runs"] == 2
+    assert doc["runs"][0]["trace"][:3] == [900, 897, 894]
+
+
 def test_powerdown_error_maps_to_exit_1(capsys):
     assert main(["attack", "powerdown", "--profile", "e3c246d4i-2t", "--channel", "bmc"]) == 1
     assert "ChannelBlocked" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 """Bus routing, jumper gating, write permissions and scan behavior."""
 
+import importlib.resources
+
 import pytest
 import yaml
 
 from pmbus_sim import Platform
 from pmbus_sim import protocol as pm
 from pmbus_sim.cpu import CpuStatus
-from pmbus_sim.errors import AddressInUse, InterposerPresent, UnknownJumper
+from pmbus_sim.errors import AddressInUse, ChannelBlocked, InterposerPresent, UnknownJumper
 from pmbus_sim.fabric import BusReply, DummyDevice, Fabric, MasterPort, ReplyStatus
 from pmbus_sim.protocol import Direction, Transaction
 
@@ -73,8 +75,21 @@ def test_write_master_acl(asrock):
     assert read(asrock.fabric, "bmc", 2, 0x60, pm.CMD_READ_TEMPERATURE).ok
 
 
+def test_empty_write_master_list_refuses_every_write(tmp_path):
+    builtin = importlib.resources.files("pmbus_sim").joinpath("profiles/e3c246d4i-2t.yaml")
+    doc = yaml.safe_load(builtin.read_text())
+    doc["devices"][-1]["write_masters"] = []
+    path = tmp_path / "board.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    fabric = Platform.from_profile(str(path)).fabric
+    t = Transaction(0x60, Direction.WRITE, pm.CMD_PAGE, b"\x01")
+    assert not fabric.master_transfer("cpu", 2, t).ok
+    assert not fabric.master_transfer("bmc", 2, t).ok
+    assert read(fabric, "bmc", 2, 0x60, pm.CMD_READ_TEMPERATURE).ok
+
+
 def test_address_collision_rejected():
-    fabric = Fabric({0})
+    fabric = Fabric()
     fabric.attach_device(0, 0x20, DummyDevice())
     with pytest.raises(AddressInUse):
         fabric.attach_device(0, 0x20, DummyDevice())
@@ -107,12 +122,12 @@ def test_interposer_veto_styles(x11):
 
 
 def test_unknown_master_raises(x11):
-    with pytest.raises(KeyError):
+    with pytest.raises(ChannelBlocked):
         x11.fabric.master_transfer("dma", 0, Transaction(0x20, Direction.READ, 0x00))
 
 
 def test_missing_device_nacks():
-    fabric = Fabric({0})
+    fabric = Fabric()
     fabric.add_master(MasterPort("cpu", {0: 0}))
     assert not fabric.master_transfer("cpu", 0, Transaction(0x20, Direction.READ, 0x00)).ok
 
@@ -130,7 +145,6 @@ def test_cpu_override_write_stalls_on_any_bus(tmp_path, bus):
     """A CPU-issued override sequence stalls the CPU wherever its VRM sits, bus 0 included."""
     doc = {
         "name": f"one-vrm-bus{bus}",
-        "buses": [bus],
         "masters": {"cpu": {"buses": {bus: bus}}, "bmc": {"buses": {2: bus}}},
         "devices": [{"bus": bus, "address": 0x20, "kind": "vrm"}],
         "bmc": {"generation": "X11", "credentials": {}},

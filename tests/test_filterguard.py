@@ -104,12 +104,11 @@ def test_allow_all_is_transparent():
         assert f.submit(t) is None
 
 
-def test_audit_log_records_everything():
+def test_filter_log_records_every_verdict():
     f = BusFilter(BLOCK_MFR)
     f.submit(wr(pm.CMD_VOUT_COMMAND, 0x006E))
     f.submit(wr(pm.CMD_MFR_VR_CONFIG, 8))
-    log = f.audit_log()
-    assert [v for _, v in log] == [Verdict.ALLOW, Verdict.JAM]
+    assert [v for _, v in f.log] == [Verdict.ALLOW, Verdict.JAM]
 
 
 def test_policy_from_yaml_dict():

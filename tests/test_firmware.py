@@ -1,5 +1,6 @@
 """Firmware package format: build/parse/repack identity, tampering, patching."""
 
+import dataclasses
 import hashlib
 import random
 import struct
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmbus_sim import firmware as fw
+from pmbus_sim.cli import main
 from pmbus_sim.errors import (
     BadArchive,
     BadFooter,
@@ -67,6 +69,39 @@ def test_non_utf8_table_name_fails_cleanly():
     bad = img[: footer.table_off] + fw._encrypt_padded(KEY, bytes(table)) + img[-fw.FOOTER_SIZE :]
     with pytest.raises(BadArchive):
         fw.parse_package(bad, KEY)
+
+
+def retabled(img, edit_records):
+    """``img`` with its table records replaced by ``edit_records(records)``, re-encrypted."""
+    footer = fw.FwFooter.unpack(img[-fw.FOOTER_SIZE :])
+    plain = fw._decrypt_padded(KEY, img[footer.table_off : footer.table_off + footer.table_len])
+    size = fw._RECORD_STRUCT.size
+    records = [plain[i : i + size] for i in range(0, len(plain), size)]
+    table = fw._encrypt_padded(KEY, b"".join(edit_records(records)))
+    return img[: footer.table_off] + table + dataclasses.replace(footer, table_len=len(table)).pack()
+
+
+@pytest.mark.parametrize(
+    "edit_records",
+    [
+        lambda r: r[:3],  # no webfs
+        lambda r: r + r[:1],  # nvram twice
+        lambda r: [r[1], r[0], *r[2:]],  # out of order
+        lambda r: [*r[:3], r[3].replace(b"webfs", b"webfz")],  # unknown section
+    ],
+    ids=["missing", "duplicate", "reordered", "renamed"],
+)
+def test_table_must_name_exactly_the_four_sections(tmp_path, capsys, edit_records):
+    bad = retabled(build(), edit_records)
+    with pytest.raises(BadArchive):
+        fw.parse_package(bad, KEY)
+    image, keyfile = tmp_path / "bad.img", tmp_path / "key.json"
+    image.write_bytes(bad)
+    KEY.save(keyfile)
+    for command in ("repack", "patch-shell"):
+        assert main(["fw", command, str(image), "--key-file", str(keyfile)]) == 1
+        assert "error: BadArchive" in capsys.readouterr().err
+    assert image.read_bytes() == bad
 
 
 def test_parse_without_key_keeps_table_opaque():

@@ -45,6 +45,10 @@ def _delete(key):
         _delete("bmc"),
         lambda doc: doc["masters"].pop("bmc"),  # the BMC needs a bus port
         lambda doc: doc.update(devices=doc["devices"][:-1]),  # dummies only, no VRM
+        _set("buses", [0, 1]),  # the retired bus list
+        _set("masters", "pcie", "requires_jumper", "JI2C_TYPO"),  # names no jumper
+        _set("devices", -1, "requires_jumpers", ["SMBDAT_VRM", "NOPE"]),
+        _set("devices", -1, "write_masters", ["cpuu"]),  # names no master
     ],
 )
 def test_malformed_profile_is_rejected(tmp_path, mutate):
@@ -84,7 +88,7 @@ def test_shared_config_is_read_only():
     with pytest.raises(TypeError):
         config.jumpers["SMBDAT_VRM"] = False
     with pytest.raises(TypeError):
-        config.masters[0].buses[7] = 7
+        config.masters[0].bus_map[7] = 7
     with pytest.raises(TypeError):
         config.bmc.credentials["ADMIN"] = "guess"
 
