@@ -10,6 +10,7 @@ unlocks raw bus mastering that bypasses the IPMI-level filter.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -21,7 +22,7 @@ from .errors import (
     NoRootShell,
     Unauthorized,
 )
-from .fabric import BusReply, Fabric
+from .fabric import BusReply
 from .profiles import BmcSpec
 from .protocol import Direction, Transaction
 
@@ -50,7 +51,7 @@ class UpgradeResult:
 class Bmc:
     def __init__(
         self,
-        fabric: Fabric,
+        transfer: Callable[[int, Transaction], BusReply],
         spec: BmcSpec,
         firmware_key: fw.KeyMaterial,
         vrm_addresses: frozenset[int],
@@ -58,7 +59,7 @@ class Bmc:
     ):
         if spec.x12_policy and signing_pubkey is None:
             raise ValueError("X12 BMC requires the vendor signing public key")
-        self.fabric = fabric
+        self.transfer = transfer  # the platform's write path, which settles the rail
         self.spec = spec
         self.firmware_key = firmware_key
         self.vrm_addresses = frozenset(vrm_addresses)
@@ -117,7 +118,7 @@ class Bmc:
         if self.spec.x12_policy and direction is Direction.WRITE and address in self.vrm_addresses:
             raise FilteredByPolicy(f"write to VRM 0x{address:02X}")
         t = Transaction(address, direction, payload[0], bytes(payload[1:]))
-        reply = self.fabric.master_transfer("bmc", bus, t)
+        reply = self.transfer(bus, t)
         if read_len and reply.ok:
             return BusReply(reply.status, reply.data[:read_len])
         return reply
@@ -126,4 +127,4 @@ class Bmc:
         """Direct register-level bus mastering; needs code execution on the BMC."""
         if not self.root_shell:
             raise NoRootShell("install a patched firmware image first")
-        return self.fabric.master_transfer("bmc", bus, t)
+        return self.transfer(bus, t)

@@ -18,7 +18,7 @@ from typing import Callable
 from . import protocol as pm
 from .bmc import Channel, ChannelKind, UpgradeResult
 from .cpu import CpuStatus, FaultySignature
-from .crypto import CrtRsaKey, is_prime, lenstra_recover
+from .crypto import MIN_RSA_BITS, CrtRsaKey, is_prime, lenstra_recover
 from .errors import (
     BrickedPlatform,
     ChainUnavailable,
@@ -59,6 +59,8 @@ class CampaignConfig:
             raise ValueError("floor_mv must be below start_mv")
         if self.step_mv <= 0:
             raise ValueError("step_mv must be positive")
+        if self.rsa_bits < MIN_RSA_BITS:
+            raise ValueError(f"rsa_bits must be at least {MIN_RSA_BITS}")
 
 
 @dataclass
@@ -101,7 +103,9 @@ class CampaignResult:
 def establish_chain(platform: Platform, chain: Chain) -> Callable[[int, int], BusReply]:
     """Return a VRM register writer, or raise ChainUnavailable."""
     bmc = platform.bmc
-    bus = platform.bmc_bus_for_vrm()
+    bus = platform.vrm_bus("bmc")
+    if bus is None:
+        raise ChainUnavailable("BMC has no route to the VRM segment")
     address = platform.main_vrm.config.address
 
     if chain in (Chain.LAN_FIRMWARE, Chain.KCS_FIRMWARE):
@@ -154,22 +158,12 @@ def run_undervolt_campaign(
     platform.cpu.reseed(cfg.seed)
     rng = platform.cpu.rng
     message = rng.randrange(1, key.n)
-    nominal_vid = platform.main_vrm.svid_vid
-
-    def set_level(mv: int) -> None:
-        write(pm.CMD_VOUT_COMMAND, CODEC_5MV.vid_for(mv))
-        platform.settle()
-
-    def enable_override() -> None:
-        write(pm.CMD_VOUT_COMMAND, nominal_vid)
-        write(pm.CMD_OPERATION, pm.OPERATION_PMBUS_OVERRIDE)
-        write(pm.CMD_MFR_VR_CONFIG, pm.VR_CONFIG_FIX_MODE)
-        platform.settle()
-
-    def restore_nominal() -> None:
-        write(pm.CMD_MFR_VR_CONFIG, 0x0000)
-        write(pm.CMD_OPERATION, 0x0000)
-        platform.settle()
+    override_writes = (
+        (pm.CMD_VOUT_COMMAND, platform.main_vrm.svid_vid),
+        (pm.CMD_OPERATION, pm.OPERATION_PMBUS_OVERRIDE),
+        (pm.CMD_MFR_VR_CONFIG, pm.VR_CONFIG_FIX_MODE),
+    )
+    restore_writes = ((pm.CMD_MFR_VR_CONFIG, 0x0000), (pm.CMD_OPERATION, 0x0000))
 
     runs: list[RunRecord] = []
     recovered_factor: int | None = None
@@ -177,11 +171,12 @@ def run_undervolt_campaign(
 
     for index in range(cfg.max_runs):
         record = RunRecord(index=index, outcome="correct", glitch_mv=None, trace=[])
-        enable_override()
+        for command, value in override_writes:
+            write(command, value)
         level = cfg.start_mv
         while level >= cfg.floor_mv:
             record.trace.append(level)
-            set_level(level)
+            write(pm.CMD_VOUT_COMMAND, CODEC_5MV.vid_for(level))
             clock += LEVEL_CHANGE_COST_S
             if platform.cpu.status is not CpuStatus.RUNNING:
                 record.outcome = "crash"
@@ -207,7 +202,8 @@ def run_undervolt_campaign(
             if record.outcome == "faulty":
                 break
             level -= cfg.step_mv
-        restore_nominal()
+        for command, value in restore_writes:
+            write(command, value)
         if record.outcome == "crash" or platform.cpu.status is not CpuStatus.RUNNING:
             platform.reboot()
             clock += REBOOT_COST_S
@@ -262,13 +258,11 @@ def run_overvolt_attack(
             reply = write(command, value)
             if reply.status is not ReplyStatus.ACK:
                 filtered = True
-            platform.settle()
             peak = max(peak, platform.main_vrm.output_mv)
         fired += 1
         # end of the ~1 ms pulse: drop back out of override
         write(pm.CMD_OPERATION, 0x0000)
         write(pm.CMD_MFR_VR_CONFIG, 0x0000)
-        platform.settle()
         if platform.status == "bricked":
             break
     return OvervoltOutcome(
@@ -287,18 +281,14 @@ class PowerDownOutcome:
 
 
 def run_power_down_attack(platform: Platform, channel: str = "cpu") -> PowerDownOutcome:
-    bus, address = next(iter(platform.vrms))
-    local_bus = platform.fabric.local_bus(channel, bus)
-    if local_bus is None:
+    bus = platform.vrm_bus(channel)
+    if bus is None:
         raise ChannelBlocked(f"{channel} has no route to the VRM bus")
+    address = platform.main_vrm.config.address
 
     def send(command: int, value: int) -> BusReply:
         t = Transaction(address, Direction.WRITE, command, encode_value(command, value))
-        if channel == "cpu":
-            return platform.cpu_transfer(local_bus, t)
-        reply = platform.fabric.master_transfer(channel, local_bus, t)
-        platform.settle()
-        return reply
+        return platform.transfer(channel, bus, t)
 
     page_reply = send(pm.CMD_PAGE, 0x01)
     if not page_reply.ok:

@@ -7,6 +7,11 @@ import math
 import random
 from dataclasses import dataclass
 
+# Smallest modulus size key generation accepts: below it there are fewer than
+# two distinct primes of half the size (11 and 13 at 4 bits), so the draw loop
+# would never return.
+MIN_RSA_BITS = 8
+
 # Product of the odd primes below 1000: one gcd rejects any n with such a factor.
 _SMALL_ODD_PRIMORIAL = math.prod(n for n in range(3, 1000, 2) if all(n % d for d in range(3, math.isqrt(n) + 1, 2)))
 
@@ -120,6 +125,8 @@ class CrtRsaKey:
     @classmethod
     def generate(cls, bits: int, rng: random.Random, e: int = 65537) -> "CrtRsaKey":
         """Deterministic key generation from the supplied RNG."""
+        if bits < MIN_RSA_BITS:
+            raise ValueError(f"a {bits}-bit modulus is below MIN_RSA_BITS ({MIN_RSA_BITS})")
         half = bits // 2
 
         def draw_prime() -> int:

@@ -1,10 +1,9 @@
 """Bus interposer countermeasure: classify each transaction, veto the bad ones.
 
 Three policy modes: a command blocklist, a command allowlist, and a
-stateful voltage cap that deep-inspects VOUT_COMMAND writes against the
-VID table it has observed being selected. The cap must track the
-VID_STEP_SEL bit (and refuse writes that set it), because a stateless cap
-cannot bound voltage once the 10 mV table is switched in.
+voltage cap that deep-inspects VOUT_COMMAND writes against the 5 mV VID
+table. The cap refuses any MFR_VR_CONFIG write that sets VID_STEP_SEL,
+because once the 10 mV table is switched in a VID means twice the voltage.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, fields
 from . import protocol as pm
 from .errors import InvalidPolicy
 from .fabric import BusReply, JAMMED_REPLY, NACK_REPLY
-from .protocol import CODEC_5MV, CODEC_10MV, Transaction
+from .protocol import CODEC_5MV, Transaction
 
 
 class PolicyMode(enum.Enum):
@@ -36,12 +35,7 @@ class FilterPolicy:
     blocked_commands: frozenset[int] = frozenset()
     allowed_commands: frozenset[int] = frozenset()
     cap_mv: int = 1520
-    track_step_sel: bool = True
     violation_verdict: Verdict = Verdict.JAM
-
-    def __post_init__(self):
-        if self.mode is PolicyMode.VOLTAGE_CAP and not self.track_step_sel:
-            raise ValueError("a voltage cap must track VID_STEP_SEL to be sound")
 
 
 ALLOW_ALL = FilterPolicy(mode=PolicyMode.BLOCKLIST, blocked_commands=frozenset())
@@ -67,9 +61,6 @@ def policy_from_dict(doc: dict) -> FilterPolicy:
     unknown = set(doc) - {f.name for f in fields(FilterPolicy)}
     if unknown:
         raise InvalidPolicy(f"malformed policy: unknown key(s) {sorted(unknown, key=str)}")
-    track_step_sel = doc.get("track_step_sel", True)
-    if not isinstance(track_step_sel, bool):
-        raise InvalidPolicy(f"malformed policy: track_step_sel {track_step_sel!r} is not a bool")
     cap_mv = doc.get("cap_mv", 1520)
     if type(cap_mv) is not int:
         raise InvalidPolicy(f"malformed policy: cap_mv {cap_mv!r} is not an int")
@@ -79,7 +70,6 @@ def policy_from_dict(doc: dict) -> FilterPolicy:
             blocked_commands=codes(doc.get("blocked_commands", ())),
             allowed_commands=codes(doc.get("allowed_commands", ())),
             cap_mv=cap_mv,
-            track_step_sel=track_step_sel,
             violation_verdict=Verdict(doc.get("violation_verdict", "jam")),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -91,7 +81,6 @@ class BusFilter:
 
     def __init__(self, policy: FilterPolicy):
         self.policy = policy
-        self.observed_step_10mv = False
         self.log: list[tuple[Transaction, Verdict]] = []
 
     def evaluate(self, t: Transaction) -> Verdict:
@@ -113,23 +102,14 @@ class BusFilter:
                 return policy.violation_verdict
         if t.command == pm.CMD_VOUT_COMMAND and t.payload:
             vid = int.from_bytes(t.payload, "little") & 0xFF
-            codec = CODEC_10MV if self.observed_step_10mv else CODEC_5MV
-            if codec.voltage(vid) > policy.cap_mv:
+            if CODEC_5MV.voltage(vid) > policy.cap_mv:
                 return policy.violation_verdict
         return Verdict.ALLOW
-
-    def _observe(self, t: Transaction) -> None:
-        if not (t.is_write and t.payload) or not self.policy.track_step_sel:
-            return
-        if t.command == pm.CMD_MFR_VR_CONFIG:
-            value = int.from_bytes(t.payload, "little")
-            self.observed_step_10mv = bool(value & pm.VR_CONFIG_VID_STEP_SEL)
 
     def submit(self, t: Transaction) -> BusReply | None:
         verdict = self.evaluate(t)
         self.log.append((t, verdict))
         if verdict is Verdict.ALLOW:
-            self._observe(t)
             return None
         if verdict is Verdict.BLOCK:
             return NACK_REPLY

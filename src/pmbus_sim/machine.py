@@ -1,21 +1,22 @@
 """Whole-platform wiring: fabric + VRMs + CPU + BMC from a profile config.
 
-The platform owns the electrical feedback path: after every bus write it
+The platform owns the electrical feedback path. Every master's transfer
+goes through ``Platform.transfer``; after each write, whatever its reply, it
 re-derives the VRM output, applies the load-dependent over-current check,
 feeds the resulting rail voltage to the CPU, and resolves the stall that a
-CPU-issued override write causes.
+CPU-issued override write causes. The bare ``Fabric`` does not settle.
 """
 
 from __future__ import annotations
 
 import hashlib
-from functools import cached_property
+import weakref
+from functools import cached_property, partial
 
 from . import firmware as fw
 from . import protocol as pm
 from .bmc import Bmc
 from .cpu import Cpu, CpuStatus
-from .errors import ChainUnavailable
 from .fabric import BusReply, DummyDevice, Fabric
 from .profiles import ProfileConfig, load_profile
 from .protocol import Transaction
@@ -41,8 +42,11 @@ class Platform:
         self.nominal_mv = self.main_vrm.output_mv
         self.fault_model = config.fault_model
         self.cpu = Cpu(model=self.fault_model, seed=seed, nominal_mv=self.nominal_mv)
+        # The BMC reaches the platform through a weak proxy: a bound method
+        # would close a reference cycle, and a dropped board, transcript and
+        # all, would then wait for the cyclic garbage collector.
         self.bmc = Bmc(
-            fabric=self.fabric,
+            transfer=partial(Platform.transfer, weakref.proxy(self), "bmc"),
             spec=config.bmc,
             firmware_key=self.firmware_key,
             vrm_addresses=frozenset(addr for (_, addr) in self.vrms),
@@ -108,33 +112,24 @@ class Platform:
 
     # -- master actions --------------------------------------------------------------
 
-    def cpu_pmbus_write(self, bus: int, t: Transaction) -> BusReply:
-        self.cpu._require_running()
-        reply = self.fabric.master_transfer("cpu", bus, t)
-        vrm = self.vrms.get((self.fabric.physical_bus("cpu", bus), t.address))
-        if (
-            reply.ok
-            and t.is_write
-            and t.command == pm.CMD_MFR_VR_CONFIG
-            and vrm is not None
-            and vrm.override_active
-        ):
-            self.cpu.status = CpuStatus.STALLED
+    def transfer(self, master: str, bus: int, t: Transaction) -> BusReply:
+        """One transfer by ``master``; every write ends with one ``settle()``, whatever the reply."""
+        if master == "cpu":
+            self.cpu._require_running()
+        reply = self.fabric.master_transfer(master, bus, t)
+        if not t.is_write:
+            return reply
+        if master == "cpu" and reply.ok and t.command == pm.CMD_MFR_VR_CONFIG:
+            vrm = self.vrms.get((self.fabric.physical_bus(master, bus), t.address))
+            if vrm is not None and vrm.override_active:
+                self.cpu.status = CpuStatus.STALLED
         self.settle()
         return reply
 
-    def cpu_transfer(self, bus: int, t: Transaction) -> BusReply:
-        if t.is_write:
-            return self.cpu_pmbus_write(bus, t)
-        return self.fabric.master_transfer("cpu", bus, t)
-
-    def bmc_bus_for_vrm(self, vrm_key: tuple[int, int] | None = None) -> int:
-        """BMC-local bus number of the segment holding the (main) VRM."""
-        phys, _ = vrm_key or next(iter(self.vrms))
-        local = self.fabric.local_bus("bmc", phys)
-        if local is None:
-            raise ChainUnavailable("BMC has no route to the VRM segment")
-        return local
+    def vrm_bus(self, master: str) -> int | None:
+        """``master``'s own number for the main VRM's bus; None if it has no route there."""
+        physical, _ = next(iter(self.vrms))
+        return self.fabric.local_bus(master, physical)
 
     # -- power control ----------------------------------------------------------------
 

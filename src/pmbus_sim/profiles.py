@@ -5,9 +5,10 @@ YAML files next to this module; user profiles load from arbitrary paths
 with the same schema. Parsing builds the runtime types directly: each master
 becomes a ``MasterPort``, each VRM entry a ``VrmConfig`` and ``fault_model`` a
 ``FaultModel``. A document with an unknown key, generation, vendor or device
-kind, with a missing or mistyped value, with a jumper or master name that the
-profile does not define, without a ``cpu`` and a ``bmc`` master or without a
-VRM raises ``InvalidProfile``.
+kind, with a missing or mistyped value, with a device address outside the
+7-bit range, with a jumper or master name that the profile does not define,
+without a ``cpu`` and a ``bmc`` master or without a VRM raises
+``InvalidProfile``.
 
 Each distinct profile text is parsed once per process and the resulting
 ``ProfileConfig`` is shared by every platform built from it, so it is
@@ -27,6 +28,7 @@ import yaml
 from .cpu import FaultModel
 from .errors import InvalidProfile, UnknownProfile
 from .fabric import MasterPort
+from .protocol import ADDR_MAX, ADDR_MIN
 from .vrm import VrmConfig, VrmVendor
 
 BUILTIN_PROFILES = ("x11ssl-cf", "x12dpi-nt6", "e3c246d4i-2t")
@@ -88,10 +90,13 @@ def _parse_master(name: str, spec: dict) -> MasterPort:
 
 
 def _parse_device(d: dict) -> DeviceSpec:
+    address = int(d["address"])
+    if not ADDR_MIN <= address <= ADDR_MAX:
+        raise InvalidProfile(f"device address 0x{address:02X} outside 0x{ADDR_MIN:02X}..0x{ADDR_MAX:02X}")
     if d.get("kind") == "vrm":
         _checked(d, _DEVICE_KEYS | _VRM_KEYS, "vrm device key")
         ints = {k: int(d[k]) for k in _VRM_KEYS - {"vendor"} if k in d}
-        vrm = VrmConfig(vendor=VrmVendor(d.get("vendor", "mps")), address=int(d["address"]), **ints)
+        vrm = VrmConfig(vendor=VrmVendor(d.get("vendor", "mps")), address=address, **ints)
     elif d.get("kind") == "dummy":
         _checked(d, _DEVICE_KEYS, "dummy device key")
         vrm = None
@@ -99,7 +104,7 @@ def _parse_device(d: dict) -> DeviceSpec:
         raise InvalidProfile(f"unknown device kind {d.get('kind')!r}")
     return DeviceSpec(
         bus=int(d["bus"]),
-        address=int(d["address"]),
+        address=address,
         vrm=vrm,
         requires_jumpers=tuple(d.get("requires_jumpers", ())),
         write_masters=tuple(d["write_masters"]) if "write_masters" in d else None,

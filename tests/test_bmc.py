@@ -1,11 +1,14 @@
 """BMC channel authorization, firmware upgrade policy and I2C surfaces."""
 
 import dataclasses
+import gc
 import lzma
 import struct
+import weakref
 
 import pytest
 
+from pmbus_sim import Platform
 from pmbus_sim import firmware as fw
 from pmbus_sim import protocol as pm
 from pmbus_sim.bmc import Channel, ChannelKind
@@ -166,3 +169,15 @@ def test_root_shell_bypasses_x12_ipmi_filter(x12):
     x12.bmc.root_shell = True  # as if installed via a signed-but-patched image
     t = Transaction(0x30, Direction.WRITE, pm.CMD_VOUT_COMMAND, b"\x6e\x00")
     assert x12.bmc.raw_master(2, t).ok
+
+
+def test_a_dropped_platform_is_freed_without_the_cycle_collector():
+    """The BMC's write path holds the platform weakly, so no reference cycle keeps a board alive."""
+    gc.disable()
+    try:
+        platform = Platform.from_profile("x11ssl-cf")
+        freed = weakref.ref(platform)
+        del platform
+        assert freed() is None
+    finally:
+        gc.enable()

@@ -27,6 +27,8 @@ def test_config_validation():
         camp.CampaignConfig(seed=0, floor_mv=950)
     with pytest.raises(ValueError):
         camp.CampaignConfig(seed=0, step_mv=0)
+    with pytest.raises(ValueError):
+        camp.CampaignConfig(seed=0, rsa_bits=7)
 
 
 @pytest.mark.parametrize("chain", list(camp.Chain))

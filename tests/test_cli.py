@@ -86,6 +86,8 @@ def test_unknown_master_maps_to_exit_1(capsys, command):
         "max_runs: true\n",  # a bool, not a run count
         "seed: 3\n",  # --seed sets the seed
         "max_runs: [1\n",  # YAML syntax error
+        "rsa_bits: 1\n",  # below MIN_RSA_BITS: key generation cannot finish
+        "rsa_bits: 2\n",
     ],
 )
 def test_malformed_campaign_config_maps_to_exit_1(tmp_path, capsys, config_text):
@@ -188,7 +190,7 @@ def test_bad_image_maps_to_exit_1(tmp_path, capsys):
     "policy_text",
     [
         "mode: bogus\n",  # unknown mode
-        "mode: voltage-cap\ntrack_step_sel: false\n",  # an unsound cap
+        "mode: voltage-cap\ntrack_step_sel: false\n",  # a retired key
         "mode: voltage-cap\ncap_mv: .inf\n",  # a float, not an int
         "mode: voltage-cap\ncap_mv: true\n",  # a bool is not a 1 mV cap
         "mode: voltage-cap\ncap_mv: 1400.9\n",  # not truncated to 1400
@@ -201,7 +203,7 @@ def test_bad_image_maps_to_exit_1(tmp_path, capsys):
         "mode: allowlist\nviolation_verdict: shrug\n",
         "blocked_commands: [0xE4]\n",  # no mode
         "mode: voltage-cap\ncap_mV: 1400\n",  # misspelt key: not the default cap
-        "mode: blocklist\ntrack_step_sel: \"false\"\n",  # a string, not a YAML bool
+        "mode: blocklist\ntrack_step_sel: \"false\"\n",  # a retired key, whatever its value
         "- mode: blocklist\n",  # not a mapping
         "mode: [blocklist\n",  # YAML syntax error
     ],

@@ -53,6 +53,17 @@ def test_generate_is_deterministic():
     assert a.n.bit_length() in (511, 512)
 
 
+@pytest.mark.parametrize("bits", range(crypto.MIN_RSA_BITS))
+def test_generate_refuses_moduli_below_the_minimum(bits):
+    with pytest.raises(ValueError):
+        CrtRsaKey.generate(bits, random.Random(0))
+
+
+def test_generate_at_the_minimum_terminates():
+    key = CrtRsaKey.generate(crypto.MIN_RSA_BITS, random.Random(0))
+    assert {key.p, key.q} == {11, 13}
+
+
 def test_crt_combine_matches_direct_exponentiation():
     key = CrtRsaKey.generate(128, random.Random(7))
     for m in (2, 1234, key.n - 5):

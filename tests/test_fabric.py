@@ -6,9 +6,17 @@ import pytest
 import yaml
 
 from pmbus_sim import Platform
+from pmbus_sim import campaign as camp
 from pmbus_sim import protocol as pm
+from pmbus_sim.bmc import Channel, ChannelKind
 from pmbus_sim.cpu import CpuStatus
-from pmbus_sim.errors import AddressInUse, ChannelBlocked, InterposerPresent, UnknownJumper
+from pmbus_sim.errors import (
+    AddressInUse,
+    ChannelBlocked,
+    CpuUnavailable,
+    InterposerPresent,
+    UnknownJumper,
+)
 from pmbus_sim.fabric import BusReply, DummyDevice, Fabric, MasterPort, ReplyStatus
 from pmbus_sim.protocol import Direction, Transaction
 
@@ -159,19 +167,49 @@ def test_cpu_override_write_stalls_on_any_bus(tmp_path, bus):
     )
     for command, value in sequence:
         t = Transaction(0x20, Direction.WRITE, command, pm.encode_value(command, value))
-        assert platform.cpu_pmbus_write(bus, t).ok
+        assert platform.transfer("cpu", bus, t).ok
     assert platform.cpu.status is CpuStatus.STALLED
+
+
+def ocp_below_the_load(platform):
+    limit = int(platform.config.nominal_load_a) - 1
+    payload = pm.encode_value(pm.CMD_MFR_OCP_TOTAL_SET, limit)
+    return Transaction(0x20, Direction.WRITE, pm.CMD_MFR_OCP_TOTAL_SET, payload)
 
 
 def test_ocp_limit_below_the_load_trips_the_rail_on_settle(x11):
     """Settle feeds the rail's load current to the OCP check and the collapse to the CPU."""
-    limit = int(x11.config.nominal_load_a) - 1
-    payload = pm.encode_value(pm.CMD_MFR_OCP_TOTAL_SET, limit)
-    t = Transaction(0x20, Direction.WRITE, pm.CMD_MFR_OCP_TOTAL_SET, payload)
-    assert x11.fabric.master_transfer("bmc", 2, t).ok
+    t = ocp_below_the_load(x11)
+    assert x11.fabric.master_transfer("bmc", 2, t).ok  # the bare fabric does not settle
     assert x11.main_vrm.powered and x11.cpu.status is CpuStatus.RUNNING
     x11.settle()
     assert not x11.main_vrm.powered
     assert x11.main_vrm.output_mv == 0
     assert x11.cpu.supply_mv == 0
     assert x11.cpu.status is CpuStatus.CRASHED
+
+
+def ipmi_i2c_write(platform, t):
+    payload = bytes([t.command]) + t.payload
+    return platform.bmc.ipmi_i2c(Channel(ChannelKind.KCS, host_root=True), 2, t.address << 1, payload)
+
+
+def raw_master_write(platform, t):
+    camp.establish_chain(platform, camp.Chain.KCS_FIRMWARE)  # installs the root shell
+    return platform.bmc.raw_master(2, t)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [ipmi_i2c_write, raw_master_write, lambda platform, t: platform.transfer("cpu", 1, t)],
+    ids=["bmc-ipmi-i2c", "bmc-raw-master", "cpu"],
+)
+def test_every_master_write_settles_the_rail(x11, write):
+    """A write through the platform trips the OCP at once, with no explicit settle()."""
+    t = ocp_below_the_load(x11)
+    assert write(x11, t).ok
+    assert not x11.main_vrm.powered
+    assert x11.cpu.supply_mv == 0
+    assert x11.cpu.status is CpuStatus.CRASHED
+    with pytest.raises(CpuUnavailable):
+        x11.transfer("cpu", 1, t)

@@ -1,6 +1,4 @@
-"""Interposer filter policies: verdicts, state tracking and transparency."""
-
-import pytest
+"""Interposer filter policies: verdicts, the voltage cap and transparency."""
 
 from pmbus_sim import protocol as pm
 from pmbus_sim.fabric import ReplyStatus
@@ -75,20 +73,7 @@ def test_voltage_cap_tracks_step_selector():
     # switching in the 10 mV table would let VID 0xF5 mean 2740 mV, so the
     # cap must refuse the selector write itself
     assert f.submit(wr(pm.CMD_MFR_VR_CONFIG, 0x0100)).status is ReplyStatus.JAMMED
-    assert not f.observed_step_10mv
     assert f.evaluate(wr(pm.CMD_VOUT_COMMAND, 0xF5)) is Verdict.ALLOW
-
-
-def test_voltage_cap_honors_externally_observed_step():
-    f = BusFilter(CAP_1520)
-    f.observed_step_10mv = True  # table switched before the filter was armed
-    assert f.evaluate(wr(pm.CMD_VOUT_COMMAND, 0x7A)) is Verdict.ALLOW  # 1510 mV
-    assert f.evaluate(wr(pm.CMD_VOUT_COMMAND, 0x7D)) is Verdict.JAM  # 1540 mV
-
-
-def test_stateless_voltage_cap_is_rejected():
-    with pytest.raises(ValueError):
-        FilterPolicy(mode=PolicyMode.VOLTAGE_CAP, track_step_sel=False)
 
 
 def test_blocklist_misses_what_it_does_not_name():
@@ -122,5 +107,4 @@ def test_policy_from_yaml_dict():
     assert policy.blocked_commands == frozenset({0xE4, 0xEE})
     assert policy.violation_verdict is Verdict.BLOCK
     cap = policy_from_dict({"mode": "voltage-cap", "cap_mv": 1400})
-    assert cap.cap_mv == 1400 and cap.track_step_sel
-    assert not policy_from_dict({"mode": "blocklist", "track_step_sel": False}).track_step_sel
+    assert cap.cap_mv == 1400 and cap.mode is PolicyMode.VOLTAGE_CAP

@@ -41,6 +41,8 @@ def _delete(key):
         _set("devices", -1, "vendor", "infineon"),
         _set("devices", -1, "kind", "psu"),
         _set("devices", -1, "address", "0x2G"),  # not a number
+        _set("devices", -1, "address", 0x05),  # reserved, below the 7-bit device range
+        _set("devices", -1, "address", 0x78),  # reserved, above it
         _set("masters", "cpu", "buses", [0, 1]),  # not a bus map
         _delete("bmc"),
         lambda doc: doc["masters"].pop("bmc"),  # the BMC needs a bus port
