@@ -33,8 +33,7 @@ def main() -> None:
     key.save(outdir / "key.json")
 
     pkg = fw.parse_package(stock, key)
-    patched = fw.repack(fw.enable_root_shell(pkg, key), key)
-    (outdir / "patched.img").write_bytes(patched)
+    (outdir / "patched.img").write_bytes(fw.enable_root_shell(pkg, key))
 
     signer = platform.vendor_signing_key
     fw.save_private_key(signer, outdir / "signer.pem")

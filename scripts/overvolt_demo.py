@@ -24,7 +24,6 @@ def describe(label: str, outcome: camp.OvervoltOutcome) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--profile", default="x11ssl-cf")
-    parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--cap-mv", type=int, default=1520)
     args = parser.parse_args()
 
@@ -33,23 +32,18 @@ def main() -> None:
         print(f"  write 0x{command:02X} ({pm.command_info(command).name}) <- 0x{value:04X}")
     print()
 
-    platform = Platform.from_profile(args.profile, seed=args.seed)
-    describe("unprotected", camp.run_overvolt_attack(platform, camp.CampaignConfig(seed=args.seed)))
+    describe("unprotected", camp.run_overvolt_attack(Platform.from_profile(args.profile)))
 
     for ablate, (command, _) in enumerate(camp.OVERVOLT_SEQUENCE):
-        p = Platform.from_profile(args.profile, seed=args.seed)
-        outcome = camp.run_overvolt_attack(p, camp.CampaignConfig(seed=args.seed), ablate=ablate)
+        outcome = camp.run_overvolt_attack(Platform.from_profile(args.profile), ablate=ablate)
         describe(f"without 0x{command:02X} write", outcome)
 
-    guarded = Platform.from_profile(args.profile, seed=args.seed)
+    guarded = Platform.from_profile(args.profile)
     bus = next(iter(guarded.vrms))[0]
     guarded.fabric.insert_interposer(
         bus, fg.BusFilter(fg.FilterPolicy(mode=fg.PolicyMode.VOLTAGE_CAP, cap_mv=args.cap_mv))
     )
-    describe(
-        f"with {args.cap_mv} mV cap",
-        camp.run_overvolt_attack(guarded, camp.CampaignConfig(seed=args.seed)),
-    )
+    describe(f"with {args.cap_mv} mV cap", camp.run_overvolt_attack(guarded))
 
 
 if __name__ == "__main__":

@@ -105,9 +105,7 @@ class Bmc:
 
     # -- I2C surfaces ------------------------------------------------------------
 
-    def ipmi_i2c(
-        self, channel: Channel, bus: int, addr_byte: int, payload: bytes, read_len: int = 0
-    ) -> BusReply:
+    def ipmi_i2c(self, channel: Channel, bus: int, addr_byte: int, payload: bytes) -> BusReply:
         """ipmitool-style passthrough: addr_byte carries (address<<1)|rw."""
         if not self._authorized(channel):
             raise Unauthorized(f"{channel.kind.value} channel")
@@ -117,11 +115,7 @@ class Bmc:
             raise ValueError("payload must carry at least the command byte")
         if self.spec.x12_policy and direction is Direction.WRITE and address in self.vrm_addresses:
             raise FilteredByPolicy(f"write to VRM 0x{address:02X}")
-        t = Transaction(address, direction, payload[0], bytes(payload[1:]))
-        reply = self.transfer(bus, t)
-        if read_len and reply.ok:
-            return BusReply(reply.status, reply.data[:read_len])
-        return reply
+        return self.transfer(bus, Transaction(address, direction, payload[0], bytes(payload[1:])))
 
     def raw_master(self, bus: int, t: Transaction) -> BusReply:
         """Direct register-level bus mastering; needs code execution on the BMC."""

@@ -28,7 +28,7 @@ from .errors import (
     WrongProfile,
 )
 from .fabric import BusReply, ReplyStatus
-from .firmware import enable_root_shell, parse_package, repack
+from .firmware import enable_root_shell, parse_package
 from .machine import Platform
 from .protocol import CODEC_5MV, Direction, Transaction, encode_value
 
@@ -119,7 +119,7 @@ def establish_chain(platform: Platform, chain: Chain) -> Callable[[int, int], Bu
             channel = Channel(ChannelKind.KCS, host_root=True)
         key = platform.firmware_key
         stock = parse_package(platform.build_stock_firmware(), key)
-        patched = repack(enable_root_shell(stock, key), key)
+        patched = enable_root_shell(stock, key)
         result: UpgradeResult = bmc.upgrade_firmware(channel, patched)
         if not result.accepted or not bmc.root_shell:
             raise ChainUnavailable(f"firmware upgrade rejected: {result.reason}")

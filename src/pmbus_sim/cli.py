@@ -15,13 +15,12 @@ import yaml
 from . import campaign as camp
 from . import filterguard as fg
 from . import firmware as fw
-from . import protocol as pm
 from .crypto import CrtRsaKey
 from .detect import detect as run_detect
 from .detect import render_report
 from .errors import InvalidAddress, InvalidConfig, InvalidPolicy, InvalidTranscript, PmbusSimError
 from .machine import Platform
-from .profiles import BUILTIN_PROFILES, load_profile
+from .profiles import BUILTIN_PROFILES
 from .protocol import Direction, Transaction
 
 _TEXT_RE = re.compile(r"^([WR])\s+0x([0-9A-Fa-f]{2})\s+0x([0-9A-Fa-f]{2})\s*\[([0-9A-Fa-f\s]*)\]")
@@ -66,7 +65,7 @@ def _cmd_profiles(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    platform = Platform.from_profile(args.profile, seed=args.seed or 0)
+    platform = Platform.from_profile(args.profile)
     addresses = sorted(platform.fabric.scan_bus(args.master, args.bus))
     if args.json:
         _write_json(args.out, {"bus": args.bus, "addresses": addresses})
@@ -76,7 +75,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    platform = Platform.from_profile(args.profile, seed=args.seed or 0)
+    platform = Platform.from_profile(args.profile)
     report = run_detect(platform.fabric, args.bus, master=args.master)
     if args.json:
         _write_json(
@@ -136,12 +135,13 @@ def _cmd_attack_undervolt(args) -> int:
 
 
 def _cmd_attack_overvolt(args) -> int:
-    platform = Platform.from_profile(args.profile, seed=args.seed)
+    platform = Platform.from_profile(args.profile)
     if args.filter_policy:
         policy = _load_policy(args.filter_policy)
         bus = next(iter(platform.vrms))[0]
         platform.fabric.insert_interposer(bus, fg.BusFilter(policy))
-    cfg = camp.CampaignConfig(seed=args.seed, chain=camp.Chain(args.chain or "ipmi-i2c"))
+    # run_overvolt_attack reads only cfg.chain: the attack signs nothing, so no seed is used
+    cfg = camp.CampaignConfig(seed=0, chain=camp.Chain(args.chain or "ipmi-i2c"))
     outcome = camp.run_overvolt_attack(platform, cfg)
     _write_json(args.out, asdict(outcome))
     print(
@@ -152,7 +152,7 @@ def _cmd_attack_overvolt(args) -> int:
 
 
 def _cmd_attack_powerdown(args) -> int:
-    platform = Platform.from_profile(args.profile, seed=args.seed or 0)
+    platform = Platform.from_profile(args.profile)
     outcome = camp.run_power_down_attack(platform, channel=args.channel)
     _write_json(args.out, asdict(outcome))
     return 0
@@ -217,9 +217,8 @@ def _cmd_fw(args) -> int:
         return 0
 
     if args.fw_command == "patch-shell":
-        patched = fw.enable_root_shell(pkg, key)
         out = args.out or args.image
-        Path(out).write_bytes(fw.repack(patched, key))
+        Path(out).write_bytes(fw.enable_root_shell(pkg, key))
         print(f"patched image written to {out}")
         return 0
 
@@ -250,39 +249,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pmbus-sim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_seed=False):
+    def common(p):
         p.add_argument("--profile", default="x11ssl-cf")
-        p.add_argument("--seed", type=int, required=needs_seed, default=None)
-        p.add_argument("--json", action="store_true")
         p.add_argument("--out", help="write structured output to this path")
 
     p = sub.add_parser("profiles", help="list built-in platform profiles")
     p.add_argument("profiles_command", choices=["list"])
     p.set_defaults(func=_cmd_profiles)
 
-    p = sub.add_parser("scan", help="i2cdetect-style bus sweep")
-    common(p)
-    p.add_argument("--bus", type=int, required=True)
-    p.add_argument("--master", default="cpu")
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("detect", help="VRM discovery and vendor classification")
-    common(p)
-    p.add_argument("--bus", type=int, required=True)
-    p.add_argument("--master", default="cpu")
-    p.set_defaults(func=_cmd_detect)
+    for name, func, help_text in (
+        ("scan", _cmd_scan, "i2cdetect-style bus sweep"),
+        ("detect", _cmd_detect, "VRM discovery and vendor classification"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--bus", type=int, required=True)
+        p.add_argument("--master", default="cpu")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("attack", help="run an attack scenario")
     attack_sub = p.add_subparsers(dest="attack_command", required=True)
 
     pa = attack_sub.add_parser("undervolt")
-    common(pa, needs_seed=True)
+    common(pa)
+    pa.add_argument("--seed", type=int, required=True)
     pa.add_argument("--chain", choices=[c.value for c in camp.Chain])
     pa.add_argument("--config", help="YAML campaign config overrides")
     pa.set_defaults(func=_cmd_attack_undervolt)
 
     pa = attack_sub.add_parser("overvolt")
-    common(pa, needs_seed=True)
+    common(pa)
     pa.add_argument("--chain", choices=[c.value for c in camp.Chain])
     pa.add_argument("--filter-policy", help="YAML filter policy to interpose first")
     pa.set_defaults(func=_cmd_attack_overvolt)

@@ -99,14 +99,6 @@ class FwFooter:
         return cls(version, body_len, half_crc, table_off, table_len)
 
 
-@dataclass(frozen=True)
-class TableRecord:
-    name: str
-    offset: int
-    length: int
-    crc32: int
-
-
 @dataclass
 class Section:
     name: str
@@ -122,7 +114,11 @@ class FirmwarePackage:
     sections: list[Section]
     signature: bytes | None
     image: bytes  # canonical unsigned image bytes (body + table + footer)
-    table_encrypted: bool = False
+
+    @property
+    def table_encrypted(self) -> bool:
+        """Parsed without the key: a keyed parse yields all four sections or raises."""
+        return not self.sections
 
     @property
     def digest(self) -> str:
@@ -180,12 +176,8 @@ def _decrypt_padded(key: KeyMaterial, data: bytes) -> bytes:
         raise DecryptFailed("bad padding (wrong key?)") from exc
 
 
-def _header_span(length: int) -> int:
-    return min(ENC_HEADER_MAX, (length // 16) * 16)
-
-
 def _crypt_header(key: KeyMaterial, blob: bytes, encrypt: bool) -> bytes:
-    span = _header_span(len(blob))
+    span = min(ENC_HEADER_MAX, (len(blob) // 16) * 16)
     if span == 0:
         return blob
     return _aes_cbc(key, blob[:span], encrypt=encrypt) + blob[span:]
@@ -238,15 +230,13 @@ def _assemble(
     signer: rsa.RSAPrivateKey | None = None,
 ) -> bytes:
     body = bytearray()
-    records = []
+    table_plain = bytearray()
     for name in SECTION_ORDER:
         data = section_bytes[name]
-        records.append(TableRecord(name, len(body), len(data), zlib.crc32(data)))
+        table_plain += _RECORD_STRUCT.pack(
+            TABLE_TAG, name.encode().ljust(16, b"\x00"), len(body), len(data), zlib.crc32(data)
+        )
         body += data
-    table_plain = b"".join(
-        _RECORD_STRUCT.pack(TABLE_TAG, r.name.encode().ljust(16, b"\x00"), r.offset, r.length, r.crc32)
-        for r in records
-    )
     table_enc = _encrypt_padded(key, table_plain)
     footer = FwFooter(
         version=version,
@@ -268,10 +258,9 @@ def _assemble(
 def build_package(
     contents: dict[str, bytes | list[tuple[str, bytes]]],
     key: KeyMaterial,
-    version: int = DEFAULT_VERSION,
     signer: rsa.RSAPrivateKey | None = None,
 ) -> bytes:
-    """Build a canonical image. Archive sections take entry lists, others bytes."""
+    """Build a canonical image at ``DEFAULT_VERSION``. Archive sections take entry lists, others bytes."""
     section_bytes = {}
     for name in SECTION_ORDER:
         payload = contents[name]
@@ -279,7 +268,7 @@ def build_package(
             section_bytes[name] = pack_archive(payload, key)
         else:
             section_bytes[name] = bytes(payload)
-    return _assemble(section_bytes, key, version, signer)
+    return _assemble(section_bytes, key, DEFAULT_VERSION, signer)
 
 
 def _split_signature(data: bytes) -> tuple[bytes, bytes | None]:
@@ -305,7 +294,6 @@ def parse_package(data: bytes, key: KeyMaterial | None = None) -> FirmwarePackag
         raise BadFooter("table extent outside image")
     table_blob = image[footer.table_off : end_of_table]
     sections: list[Section] = []
-    table_encrypted = key is None
     if key is not None:
         table_plain = _decrypt_padded(key, table_blob)
         if len(table_plain) % _RECORD_STRUCT.size:
@@ -323,13 +311,7 @@ def parse_package(data: bytes, key: KeyMaterial | None = None) -> FirmwarePackag
             sections.append(Section(name, s_off, s_len, s_crc, image[s_off : s_off + s_len]))
         if tuple(s.name for s in sections) != SECTION_ORDER:
             raise BadArchive(f"firmware table names {[s.name for s in sections]}, not {list(SECTION_ORDER)}")
-    return FirmwarePackage(
-        footer=footer,
-        sections=sections,
-        signature=signature,
-        image=image,
-        table_encrypted=table_encrypted,
-    )
+    return FirmwarePackage(footer=footer, sections=sections, signature=signature, image=image)
 
 
 def repack(
@@ -376,8 +358,8 @@ def has_root_shell(pkg: FirmwarePackage, key: KeyMaterial) -> bool:
     return False
 
 
-def enable_root_shell(pkg: FirmwarePackage, key: KeyMaterial) -> FirmwarePackage:
-    """Swap the SMASH shell for a /bin/sh trampoline; idempotent."""
+def enable_root_shell(pkg: FirmwarePackage, key: KeyMaterial) -> bytes:
+    """Unsigned image with the SMASH shell swapped for a /bin/sh trampoline; idempotent."""
     entries = rootfs_entries(pkg, key)
     if not any(name == SHELL_ENTRY for name, _ in entries):
         raise NoSuchEntry(SHELL_ENTRY)
@@ -386,7 +368,7 @@ def enable_root_shell(pkg: FirmwarePackage, key: KeyMaterial) -> FirmwarePackage
     ]
     section_bytes = {s.name: s.data for s in pkg.sections}
     section_bytes["rootfs"] = pack_archive(patched, key)
-    return parse_package(_assemble(section_bytes, key, pkg.footer.version), key)
+    return _assemble(section_bytes, key, pkg.footer.version)
 
 
 # -- RSA key helpers ----------------------------------------------------------------

@@ -5,10 +5,10 @@ YAML files next to this module; user profiles load from arbitrary paths
 with the same schema. Parsing builds the runtime types directly: each master
 becomes a ``MasterPort``, each VRM entry a ``VrmConfig`` and ``fault_model`` a
 ``FaultModel``. A document with an unknown key, generation, vendor or device
-kind, with a missing or mistyped value, with a device address outside the
-7-bit range, with a jumper or master name that the profile does not define,
-without a ``cpu`` and a ``bmc`` master or without a VRM raises
-``InvalidProfile``.
+kind, with a missing or mistyped value (an integer must be an exact ``int``,
+not a bool, float or string), with a number outside its range, with a jumper
+or master name that the profile does not define, without a ``cpu`` and a
+``bmc`` master or without a VRM raises ``InvalidProfile``.
 
 Each distinct profile text is parsed once per process and the resulting
 ``ProfileConfig`` is shared by every platform built from it, so it is
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from types import MappingProxyType
@@ -37,9 +38,18 @@ GENERATIONS = ("X11", "X12")
 _TOP_KEYS = {"name", "jumpers", "masters", "devices", "bmc", "fault_model", "nominal_load_a"}
 _MASTER_KEYS = {"buses", "requires_jumper"}
 _DEVICE_KEYS = {"bus", "address", "kind", "requires_jumpers", "write_masters"}
-_VRM_KEYS = {"vendor", "initial_vid", "rail_page", "temperature_raw", "ocp_limit_a", "page1_vout"}
+# inclusive range of each integer VRM key
+_VRM_INTS = {
+    "initial_vid": (0, 0xFF),
+    "rail_page": (0, 1),
+    "temperature_raw": (0, 0xFFFF),
+    "ocp_limit_a": (1, 0xFFFF),
+    "page1_vout": (0, 0xFFFF),
+}
+_VRM_KEYS = {"vendor", *_VRM_INTS}
 _BMC_KEYS = {"generation", "credentials"}
 _FAULT_MODEL_KEYS = {f.name for f in fields(FaultModel)}
+_FAULT_MODEL_INTS = {f.name for f in fields(FaultModel) if type(f.default) is int}
 
 
 @dataclass(frozen=True)
@@ -83,19 +93,25 @@ def _checked(names, allowed, what: str):
     return names
 
 
+def _int(value, what: str, low: int = 0, high: float = math.inf) -> int:
+    """``value`` if it is an exact ``int`` in ``low..high``."""
+    if type(value) is not int or not low <= value <= high:
+        raise InvalidProfile(f"{what} {value!r} is not an integer in {low}..{high}")
+    return value
+
+
 def _parse_master(name: str, spec: dict) -> MasterPort:
     _checked(spec, _MASTER_KEYS, f"master {name!r} key")
-    bus_map = MappingProxyType({int(k): int(v) for k, v in spec.get("buses", {}).items()})
-    return MasterPort(name, bus_map, spec.get("requires_jumper"))
+    what = f"master {name!r} bus"
+    bus_map = {_int(k, what): _int(v, what) for k, v in spec.get("buses", {}).items()}
+    return MasterPort(name, MappingProxyType(bus_map), spec.get("requires_jumper"))
 
 
 def _parse_device(d: dict) -> DeviceSpec:
-    address = int(d["address"])
-    if not ADDR_MIN <= address <= ADDR_MAX:
-        raise InvalidProfile(f"device address 0x{address:02X} outside 0x{ADDR_MIN:02X}..0x{ADDR_MAX:02X}")
+    address = _int(d["address"], "device address", ADDR_MIN, ADDR_MAX)
     if d.get("kind") == "vrm":
         _checked(d, _DEVICE_KEYS | _VRM_KEYS, "vrm device key")
-        ints = {k: int(d[k]) for k in _VRM_KEYS - {"vendor"} if k in d}
+        ints = {k: _int(d[k], k, *_VRM_INTS[k]) for k in _VRM_INTS if k in d}
         vrm = VrmConfig(vendor=VrmVendor(d.get("vendor", "mps")), address=address, **ints)
     elif d.get("kind") == "dummy":
         _checked(d, _DEVICE_KEYS, "dummy device key")
@@ -103,7 +119,7 @@ def _parse_device(d: dict) -> DeviceSpec:
     else:
         raise InvalidProfile(f"unknown device kind {d.get('kind')!r}")
     return DeviceSpec(
-        bus=int(d["bus"]),
+        bus=_int(d["bus"], "device bus"),
         address=address,
         vrm=vrm,
         requires_jumpers=tuple(d.get("requires_jumpers", ())),
@@ -113,6 +129,14 @@ def _parse_device(d: dict) -> DeviceSpec:
 
 def _parse(doc: dict) -> ProfileConfig:
     _checked(doc, _TOP_KEYS, "profile key")
+    if not isinstance(doc["name"], str):
+        raise InvalidProfile(f"profile name {doc['name']!r} is not a string")
+    load = doc.get("nominal_load_a", 60.0)
+    if type(load) not in (int, float) or not 0 < load < math.inf:
+        raise InvalidProfile(f"nominal_load_a {load!r} is not a finite number above 0")
+    fault_model = _checked(doc.get("fault_model", {}), _FAULT_MODEL_KEYS, "fault_model key")
+    for k in _FAULT_MODEL_INTS & set(fault_model):
+        _int(fault_model[k], k, -math.inf)
     bmc_doc = _checked(doc["bmc"], _BMC_KEYS, "bmc key")
     if bmc_doc["generation"] not in GENERATIONS:
         raise InvalidProfile(f"bmc generation {bmc_doc['generation']!r} is not one of {GENERATIONS}")
@@ -138,8 +162,8 @@ def _parse(doc: dict) -> ProfileConfig:
             generation=bmc_doc["generation"],
             credentials=MappingProxyType(dict(bmc_doc.get("credentials", {}))),
         ),
-        fault_model=FaultModel(**_checked(doc.get("fault_model", {}), _FAULT_MODEL_KEYS, "fault_model key")),
-        nominal_load_a=float(doc.get("nominal_load_a", 60.0)),
+        fault_model=FaultModel(**fault_model),
+        nominal_load_a=float(load),
     )
 
 
@@ -156,10 +180,6 @@ def _parse_profile(text: str) -> ProfileConfig:
         raise InvalidProfile(f"malformed profile: {type(exc).__name__}: {exc}") from exc
 
 
-def load_profile_file(path: str | Path) -> ProfileConfig:
-    return _parse_profile(Path(path).read_text())
-
-
 def load_profile(name: str) -> ProfileConfig:
     """Built-in profile by name, or any YAML file path."""
     if name in BUILTIN_PROFILES:
@@ -168,5 +188,5 @@ def load_profile(name: str) -> ProfileConfig:
         )
         return _parse_profile(text)
     if Path(name).exists():
-        return load_profile_file(name)
+        return _parse_profile(Path(name).read_text())
     raise UnknownProfile(name)

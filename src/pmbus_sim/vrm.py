@@ -24,7 +24,7 @@ class VrmVendor(enum.Enum):
 
 
 MPS_PRODUCT_ID = 0x2555
-ISL_DEVICE_ID_DEFAULT = 0x49D28100
+ISL_DEVICE_ID = 0x49D28100
 
 # Command sets each vendor profile acknowledges.
 _MPS_COMMANDS = {
@@ -57,7 +57,6 @@ class VrmConfig:
     rail_page: int = 0  # page holding the live rail registers
     temperature_raw: int = 0x0019
     ocp_limit_a: int = 100
-    isl_device_id: int = ISL_DEVICE_ID_DEFAULT
     page1_vout: int = 0x0001  # static reading for the secondary rail (MPS)
     passcode: int | None = None
 
@@ -159,7 +158,7 @@ class VrmDevice:
         elif code == pm.CMD_SVID_VENDOR_PRODUCT_ID:
             value = MPS_PRODUCT_ID
         elif code == pm.CMD_ISL_DEVICE_ID:
-            value = self.config.isl_device_id
+            value = ISL_DEVICE_ID
         elif code == pm.CMD_MFR_ADDR_PMBUS:
             value = self.config.address
         elif code == pm.CMD_READ_VOUT and self.page == self.config.rail_page:

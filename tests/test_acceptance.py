@@ -155,12 +155,12 @@ def test_criterion_06_firmware_roundtrip_and_tampering():
         ok &= not verdict.ok and verdict.section_crc[hit] is False
         ok &= all(v for name, v in verdict.section_crc.items() if name != hit)
 
-    patched = fw.repack(fw.enable_root_shell(pkg, key), key)
+    patched = fw.enable_root_shell(pkg, key)
     ok &= platform.bmc.upgrade_firmware(Channel(ChannelKind.KCS, host_root=True), patched).accepted
 
     x12 = Platform.from_profile("x12dpi-nt6")
     pkg12 = fw.parse_package(x12.build_stock_firmware(), x12.firmware_key)
-    patched12 = fw.repack(fw.enable_root_shell(pkg12, x12.firmware_key), x12.firmware_key)
+    patched12 = fw.enable_root_shell(pkg12, x12.firmware_key)
     result12 = x12.bmc.upgrade_firmware(Channel(ChannelKind.KCS, host_root=True), patched12)
     ok &= not result12.accepted and result12.reason == "BadSignature"
     timed(10.0, t0, 6)

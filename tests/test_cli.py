@@ -55,10 +55,10 @@ def test_undervolt_writes_report(tmp_path, capsys):
 
 
 def test_overvolt_exit_codes(tmp_path):
-    assert main(["attack", "overvolt", "--seed", "1"]) == 0
+    assert main(["attack", "overvolt"]) == 0
     policy = tmp_path / "policy.yaml"
     policy.write_text("mode: voltage-cap\ncap_mv: 1520\n")
-    assert main(["attack", "overvolt", "--seed", "1", "--filter-policy", str(policy)]) == 1
+    assert main(["attack", "overvolt", "--filter-policy", str(policy)]) == 1
 
 
 def test_powerdown_json(capsys):
@@ -161,6 +161,29 @@ def test_fw_workflow(tmp_path, capsys):
     assert (unpack_dir / "rootfs" / "SMASH" / "msh").exists()
 
 
+def test_fw_signed_repack_passes_x12_verify(tmp_path, capsys):
+    platform = Platform.from_profile("x11ssl-cf")
+    image, keyfile = tmp_path / "stock.img", tmp_path / "key.json"
+    image.write_bytes(platform.build_stock_firmware())
+    platform.firmware_key.save(keyfile)
+    signer, pub = tmp_path / "signer.pem", tmp_path / "signer.pub.pem"
+    key = fw.generate_signing_key()
+    fw.save_private_key(key, signer)
+    fw.save_public_key(key.public_key(), pub)
+
+    signed = tmp_path / "signed.img"
+    repack = ["fw", "repack", str(image), "--key-file", str(keyfile), "--sign-key", str(signer)]
+    assert main([*repack, "--out", str(signed)]) == 0
+    capsys.readouterr()
+    x12 = ["--key-file", str(keyfile), "--policy", "x12"]
+    assert main(["fw", "verify", str(signed), *x12, "--sign-pub", str(pub)]) == 0
+    assert json.loads(capsys.readouterr().out)["signature"] == "pass"
+    assert main(["fw", "verify", str(image), *x12, "--sign-pub", str(pub)]) == 1
+    assert json.loads(capsys.readouterr().out)["signature"] == "absent"
+    assert main(["fw", "verify", str(signed), *x12]) == 2
+    assert "--policy x12 requires --sign-pub" in capsys.readouterr().err
+
+
 def test_fw_verify_requires_key(tmp_path):
     image = tmp_path / "stock.img"
     image.write_bytes(Platform.from_profile("x11ssl-cf").build_stock_firmware())
@@ -217,7 +240,7 @@ def test_malformed_policy_maps_to_exit_1(tmp_path, capsys, policy_text, subcomma
     if subcommand == "filter-simulate":
         argv = ["filter", "simulate", "--policy", str(policy), "--replay", str(replay)]
     else:
-        argv = ["attack", "overvolt", "--seed", "1", "--filter-policy", str(policy)]
+        argv = ["attack", "overvolt", "--filter-policy", str(policy)]
     assert main(argv) == 1
     assert "error: InvalidPolicy: " in capsys.readouterr().err
 

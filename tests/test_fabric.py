@@ -148,6 +148,18 @@ def test_route_helpers_invert_each_other(x11):
     assert fabric.local_bus("pcie", 1) == 1  # the inversion ignores jumpers
 
 
+def override_writes(platform):
+    """The undervolt campaign's switch into fix mode at the present VID, as VRM writes to 0x20."""
+    return [
+        Transaction(0x20, Direction.WRITE, command, pm.encode_value(command, value))
+        for command, value in (
+            (pm.CMD_VOUT_COMMAND, platform.main_vrm.svid_vid),
+            (pm.CMD_OPERATION, pm.OPERATION_PMBUS_OVERRIDE),
+            (pm.CMD_MFR_VR_CONFIG, pm.VR_CONFIG_FIX_MODE),
+        )
+    ]
+
+
 @pytest.mark.parametrize("bus", [0, 1])
 def test_cpu_override_write_stalls_on_any_bus(tmp_path, bus):
     """A CPU-issued override sequence stalls the CPU wherever its VRM sits, bus 0 included."""
@@ -160,15 +172,22 @@ def test_cpu_override_write_stalls_on_any_bus(tmp_path, bus):
     path = tmp_path / "board.yaml"
     path.write_text(yaml.safe_dump(doc))
     platform = Platform.from_profile(str(path))
-    sequence = (
-        (pm.CMD_VOUT_COMMAND, platform.main_vrm.svid_vid),
-        (pm.CMD_OPERATION, pm.OPERATION_PMBUS_OVERRIDE),
-        (pm.CMD_MFR_VR_CONFIG, pm.VR_CONFIG_FIX_MODE),
-    )
-    for command, value in sequence:
-        t = Transaction(0x20, Direction.WRITE, command, pm.encode_value(command, value))
+    for t in override_writes(platform):
         assert platform.transfer("cpu", bus, t).ok
     assert platform.cpu.status is CpuStatus.STALLED
+
+
+def test_bmc_clearing_the_override_ends_the_stall(x11):
+    """The stalled CPU cannot undo its own override; a BMC write clearing fix mode resumes it."""
+    for t in override_writes(x11):
+        x11.transfer("cpu", 1, t)
+    assert x11.cpu.status is CpuStatus.STALLED
+    clear = bytes([pm.CMD_MFR_VR_CONFIG, 0x00, 0x00])
+    with pytest.raises(CpuUnavailable):
+        x11.transfer("cpu", 1, Transaction(0x20, Direction.WRITE, clear[0], clear[1:]))
+    assert x11.bmc.ipmi_i2c(Channel(ChannelKind.KCS, host_root=True), 2, 0x20 << 1, clear).ok
+    assert not x11.main_vrm.override_active
+    assert x11.cpu.status is CpuStatus.RUNNING
 
 
 def ocp_below_the_load(platform):

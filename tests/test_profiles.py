@@ -51,6 +51,23 @@ def _delete(key):
         _set("masters", "pcie", "requires_jumper", "JI2C_TYPO"),  # names no jumper
         _set("devices", -1, "requires_jumpers", ["SMBDAT_VRM", "NOPE"]),
         _set("devices", -1, "write_masters", ["cpuu"]),  # names no master
+        _set("devices", -1, "rail_page", 5),  # no such page
+        _set("devices", -1, "temperature_raw", 0x10000),  # wider than its 16-bit register
+        _set("devices", -1, "page1_vout", 0x10000),
+        _set("devices", -1, "initial_vid", 3.7),  # a VID is an exact int and a byte
+        _set("devices", -1, "initial_vid", True),
+        _set("devices", -1, "initial_vid", 0x100),
+        _set("devices", -1, "ocp_limit_a", 0),  # would boot with the rail tripped
+        _set("devices", -1, "ocp_limit_a", -1),
+        _set("devices", -1, "ocp_limit_a", "100"),
+        _set("devices", -1, "bus", -1),
+        _set("devices", -1, "address", 32.0),
+        _set("masters", "cpu", "buses", {0: 0, 1: -1}),
+        _set("nominal_load_a", -5.0),
+        _set("nominal_load_a", float("nan")),
+        _set("nominal_load_a", True),
+        _set("name", 5),
+        _set("fault_model", {"brick_events_needed": 2.5}),
     ],
 )
 def test_malformed_profile_is_rejected(tmp_path, mutate):
