@@ -10,7 +10,7 @@ unlocks raw bus mastering that bypasses the IPMI-level filter.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -20,6 +20,7 @@ from .errors import (
     FilteredByPolicy,
     FirmwareError,
     NoRootShell,
+    TruncatedFrame,
     Unauthorized,
 )
 from .fabric import BusReply
@@ -28,6 +29,8 @@ from .protocol import Direction, Transaction
 
 if TYPE_CHECKING:
     from cryptography.hazmat.primitives.asymmetric import rsa
+
+    from .machine import Platform
 
 
 class ChannelKind(enum.Enum):
@@ -51,7 +54,7 @@ class UpgradeResult:
 class Bmc:
     def __init__(
         self,
-        transfer: Callable[[int, Transaction], BusReply],
+        platform: weakref.ref[Platform],
         spec: BmcSpec,
         firmware_key: fw.KeyMaterial,
         vrm_addresses: frozenset[int],
@@ -59,7 +62,9 @@ class Bmc:
     ):
         if spec.x12_policy and signing_pubkey is None:
             raise ValueError("X12 BMC requires the vendor signing public key")
-        self.transfer = transfer  # the platform's write path, which settles the rail
+        # Held weakly, so the board and its BMC form no reference cycle; every
+        # bus access goes through ``Platform.transfer``, which settles the rail.
+        self.platform = platform
         self.spec = spec
         self.firmware_key = firmware_key
         self.vrm_addresses = frozenset(vrm_addresses)
@@ -109,16 +114,17 @@ class Bmc:
         """ipmitool-style passthrough: addr_byte carries (address<<1)|rw."""
         if not self._authorized(channel):
             raise Unauthorized(f"{channel.kind.value} channel")
-        address = addr_byte >> 1
-        direction = Direction(addr_byte & 1)
         if not payload:
-            raise ValueError("payload must carry at least the command byte")
-        if self.spec.x12_policy and direction is Direction.WRITE and address in self.vrm_addresses:
+            raise TruncatedFrame("payload must carry at least the command byte")
+        address = addr_byte >> 1
+        write = not addr_byte & 1
+        if write and self.spec.x12_policy and address in self.vrm_addresses:
             raise FilteredByPolicy(f"write to VRM 0x{address:02X}")
-        return self.transfer(bus, Transaction(address, direction, payload[0], bytes(payload[1:])))
+        t = Transaction(address, Direction.WRITE if write else Direction.READ, payload[0], payload[1:])
+        return self.platform().transfer("bmc", bus, t)
 
     def raw_master(self, bus: int, t: Transaction) -> BusReply:
         """Direct register-level bus mastering; needs code execution on the BMC."""
         if not self.root_shell:
             raise NoRootShell("install a patched firmware image first")
-        return self.transfer(bus, t)
+        return self.platform().transfer("bmc", bus, t)

@@ -290,11 +290,13 @@ def run_power_down_attack(platform: Platform, channel: str = "cpu") -> PowerDown
         t = Transaction(address, Direction.WRITE, command, encode_value(command, value))
         return platform.transfer(channel, bus, t)
 
+    original_page = platform.main_vrm.page
     page_reply = send(pm.CMD_PAGE, 0x01)
     if not page_reply.ok:
         raise ChannelBlocked(f"{channel} cannot write to the VRM")
     config_reply = send(pm.CMD_ON_OFF_CONFIG, pm.ON_OFF_CONFIG_OPERATION_SOURCE)
     if not config_reply.ok:
+        send(pm.CMD_PAGE, original_page)  # leave the VRM on the page it was on, as detect does
         raise WrongProfile("VRM refused the ON_OFF_CONFIG sequence")
     try:
         send(pm.CMD_OPERATION, 0x00)  # Immediate Off

@@ -47,7 +47,13 @@ def _strong_prp_base2(n: int) -> bool:
 
 
 def _strong_lucas_prp(n: int) -> bool:
-    """Strong Lucas test with Selfridge's parameters: P = 1, Q = (1 - D) / 4."""
+    """Strong Lucas test with Selfridge's parameters: P = 1, Q = (1 - D) / 4.
+
+    A ladder over ``(V_k, V_{k+1}, Q^k)`` from ``k = 0`` reaches ``k = d``
+    without halving. ``U_d`` is never formed: ``D * U_d = 2 * V_{d+1} - P * V_d``
+    and ``(D/n) = -1`` makes ``D`` invertible mod ``n``, so ``U_d = 0`` exactly
+    when ``2 * V_{d+1} = V_d`` (mod ``n``).
+    """
     if math.isqrt(n) ** 2 == n:
         return False  # no D with (D/n) = -1 exists
     D = 5
@@ -57,19 +63,19 @@ def _strong_lucas_prp(n: int) -> bool:
         D = -D - 2 if D > 0 else -D + 2
     Q = (1 - D) // 4
 
-    def half(x: int) -> int:
-        x %= n
-        return (x + n if x % 2 else x) // 2
-
     d, s = n + 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
-    if U == 0 or V == 0:
+    V, W, Qk = 2, 1, 1  # V_0, V_1, Q^0
+    unit = Q == -1  # D = 5: Q^k is then 1 or -1 by the parity of k, with no multiplication
+    for bit in bin(d)[2:]:
+        if bit == "1":  # k -> 2k + 1
+            V, W = (V * W - Qk) % n, (W * W - 2 * Q * Qk) % n
+            Qk = -1 if unit else Qk * Qk * Q % n
+        else:  # k -> 2k
+            V, W = (V * V - 2 * Qk) % n, (V * W - Qk) % n
+            Qk = 1 if unit else Qk * Qk % n
+    if V == 0 or (2 * W - V) % n == 0:
         return True
     for _ in range(s - 1):
         V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n

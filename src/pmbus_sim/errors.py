@@ -13,6 +13,11 @@ class TruncatedFrame(PmbusSimError):
     """Wire frame shorter than address byte + command byte."""
 
 
+class InvalidFrame(PmbusSimError, ValueError):
+    """Transaction the bus cannot carry: a command that is not a byte, a payload over 4 bytes,
+    or a write whose data length the registered command does not take."""
+
+
 class OutOfRange(PmbusSimError):
     """Value outside its valid range: the VID table, or a fault-model threshold."""
 

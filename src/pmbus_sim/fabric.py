@@ -5,6 +5,11 @@ segment as bus 2 while the host CPU sees it as bus 1), so each master
 carries a local-to-physical bus map. Devices sit on physical buses and may
 be gated by jumpers or per-master write permissions. An optional interposer
 per physical bus sees every transaction before delivery and can veto it.
+
+``master_transfer`` resolves each ``(master, local bus, address)`` to its
+device, write permission and interposer once and keeps the route. The
+topology and the jumpers are private: every method that changes them drops
+the kept routes, and ``Fabric.jumpers`` is a read-only view.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Protocol
 
 from .errors import AddressInUse, ChannelBlocked, InterposerPresent, UnknownJumper
@@ -34,6 +40,7 @@ class BusReply:
         return self.status is ReplyStatus.ACK
 
 
+ACK_REPLY = BusReply(ReplyStatus.ACK)
 NACK_REPLY = BusReply(ReplyStatus.NACK)
 JAMMED_REPLY = BusReply(ReplyStatus.JAMMED)
 
@@ -69,20 +76,33 @@ class MasterPort:
     requires_jumper: str | None = None
 
 
+# A resolved route: the device (None if unreachable), whether the master may
+# write to it, and the interposer on its physical bus.
+Route = tuple[Device | None, bool, Interposer | None]
+_UNREACHABLE: Route = (None, False, None)
+
+
 class Fabric:
     def __init__(self, jumpers: Mapping[str, bool] | None = None):
-        self.jumpers: dict[str, bool] = dict(jumpers or {})
-        self.devices: dict[tuple[int, int], Device] = {}
-        self.masters: dict[str, MasterPort] = {}
-        self.device_jumpers: dict[tuple[int, int], Sequence[str]] = {}
-        self.write_masters: dict[tuple[int, int], Collection[str]] = {}
-        self.interposers: dict[int, Interposer] = {}
+        self._jumpers: dict[str, bool] = dict(jumpers or {})
+        self._devices: dict[tuple[int, int], Device] = {}
+        self._masters: dict[str, MasterPort] = {}
+        self._device_jumpers: dict[tuple[int, int], Sequence[str]] = {}
+        self._write_masters: dict[tuple[int, int], Collection[str]] = {}
+        self._interposers: dict[int, Interposer] = {}
         self.transcript: list[str] = []
+        self._routes: dict[tuple[str, int, int], Route] = {}
+
+    @property
+    def jumpers(self) -> Mapping[str, bool]:
+        """Read-only view: ``set_jumper`` is the one way to change a jumper."""
+        return MappingProxyType(self._jumpers)
 
     # -- topology construction ------------------------------------------------
 
     def add_master(self, port: MasterPort) -> None:
-        self.masters[port.name] = port
+        self._masters[port.name] = port
+        self._routes.clear()
 
     def attach_device(
         self,
@@ -96,28 +116,31 @@ class Fabric:
         if not ADDR_MIN <= address <= ADDR_MAX:
             raise ValueError(f"address 0x{address:02X} outside 7-bit device range")
         key = (bus, address)
-        if key in self.devices:
+        if key in self._devices:
             raise AddressInUse(f"bus {bus} address 0x{address:02X}")
-        self.devices[key] = device
+        self._devices[key] = device
         if required_jumpers:
-            self.device_jumpers[key] = required_jumpers
+            self._device_jumpers[key] = required_jumpers
         if write_masters is not None:
-            self.write_masters[key] = write_masters
+            self._write_masters[key] = write_masters
+        self._routes.clear()
 
     def insert_interposer(self, bus: int, interposer: Interposer) -> None:
-        if bus in self.interposers:
+        if bus in self._interposers:
             raise InterposerPresent(f"bus {bus}")
-        self.interposers[bus] = interposer
+        self._interposers[bus] = interposer
+        self._routes.clear()
 
     def set_jumper(self, name: str, connected: bool) -> None:
-        if name not in self.jumpers:
+        if name not in self._jumpers:
             raise UnknownJumper(name)
-        self.jumpers[name] = connected
+        self._jumpers[name] = connected
+        self._routes.clear()
 
     # -- routing --------------------------------------------------------------
 
     def _port(self, master: str) -> MasterPort:
-        port = self.masters.get(master)
+        port = self._masters.get(master)
         if port is None:
             raise ChannelBlocked(f"no such master {master!r}")
         return port
@@ -125,7 +148,7 @@ class Fabric:
     def physical_bus(self, master: str, bus: int) -> int | None:
         """Physical bus behind a master's local bus number; None if unrouted or gated."""
         port = self._port(master)
-        if port.requires_jumper and not self.jumpers.get(port.requires_jumper, False):
+        if port.requires_jumper and not self._jumpers.get(port.requires_jumper, False):
             return None
         return port.bus_map.get(bus)
 
@@ -136,33 +159,35 @@ class Fabric:
                 return local
         return None
 
-    def _reachable_device(self, master: str, bus: int, address: int):
+    def _route(self, master: str, bus: int, address: int) -> Route:
         phys = self.physical_bus(master, bus)
         if phys is None:
-            return None, None
+            return _UNREACHABLE
         key = (phys, address)
-        device = self.devices.get(key)
+        device = self._devices.get(key)
         if device is None:
-            return None, phys
-        for jumper in self.device_jumpers.get(key, ()):
-            if not self.jumpers.get(jumper, False):
-                return None, phys
-        return device, phys
+            return _UNREACHABLE
+        for jumper in self._device_jumpers.get(key, ()):
+            if not self._jumpers.get(jumper, False):
+                return _UNREACHABLE
+        writable = key not in self._write_masters or master in self._write_masters[key]
+        return device, writable, self._interposers.get(phys)
 
     def master_transfer(self, master: str, bus: int, t: Transaction) -> BusReply:
-        device, phys = self._reachable_device(master, bus, t.address)
-        if device is None:
+        key = (master, bus, t.address)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._route(master, bus, t.address)
+        device, writable, interposer = route
+        is_write = t.is_write
+        if device is None or (is_write and not writable):
             return NACK_REPLY
-        key = (phys, t.address)
-        if t.is_write and key in self.write_masters and master not in self.write_masters[key]:
-            return NACK_REPLY
-        interposer = self.interposers.get(phys)
         if interposer is not None:
             veto = interposer.submit(t)
             if veto is not None:
                 return veto
         reply = device.handle(t)
-        arrow = "" if t.is_write or not reply.ok else " -> [" + " ".join(f"{b:02X}" for b in reply.data) + "]"
+        arrow = "" if is_write or not reply.ok else " -> [" + " ".join(f"{b:02X}" for b in reply.data) + "]"
         self.transcript.append(f"{t.text()}{arrow} {reply.status.value}")
         return reply
 
@@ -171,10 +196,10 @@ class Fabric:
         return {
             address
             for address in range(ADDR_MIN, ADDR_MAX + 1)
-            if self._reachable_device(master, bus, address)[0] is not None
+            if self._route(master, bus, address)[0] is not None
         }
 
     def state_fingerprint(self) -> tuple:
         return tuple(
-            (key, self.devices[key].fingerprint()) for key in sorted(self.devices)
+            (key, self._devices[key].fingerprint()) for key in sorted(self._devices)
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from functools import cached_property, partial
+from functools import cached_property
 
 from . import firmware as fw
 from . import protocol as pm
@@ -42,11 +42,11 @@ class Platform:
         self.nominal_mv = self.main_vrm.output_mv
         self.fault_model = config.fault_model
         self.cpu = Cpu(model=self.fault_model, seed=seed, nominal_mv=self.nominal_mv)
-        # The BMC reaches the platform through a weak proxy: a bound method
+        # The BMC holds the platform through a weak reference: a strong one
         # would close a reference cycle, and a dropped board, transcript and
         # all, would then wait for the cyclic garbage collector.
         self.bmc = Bmc(
-            transfer=partial(Platform.transfer, weakref.proxy(self), "bmc"),
+            platform=weakref.ref(self),
             spec=config.bmc,
             firmware_key=self.firmware_key,
             vrm_addresses=frozenset(addr for (_, addr) in self.vrms),
@@ -97,18 +97,18 @@ class Platform:
         return self.config.nominal_load_a * output_mv / max(self.nominal_mv, 1)
 
     def settle(self) -> None:
-        vrm = self.main_vrm
+        vrm, cpu = self.main_vrm, self.cpu
         supply = vrm.output_mv
         vrm.tick(self.load_current_a(supply))
         if not vrm.powered:  # the over-current check tripped the rail
             supply = 0
-        self.cpu.set_supply(supply)
+        cpu.set_supply(supply)
         if (
-            self.cpu.status is CpuStatus.STALLED
+            cpu.status is CpuStatus.STALLED
             and not vrm.override_active
             and supply > self.fault_model.v_crash_mv
         ):
-            self.cpu.status = CpuStatus.RUNNING
+            cpu.status = CpuStatus.RUNNING
 
     # -- master actions --------------------------------------------------------------
 

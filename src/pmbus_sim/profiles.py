@@ -7,8 +7,10 @@ becomes a ``MasterPort``, each VRM entry a ``VrmConfig`` and ``fault_model`` a
 ``FaultModel``. A document with an unknown key, generation, vendor or device
 kind, with a missing or mistyped value (an integer must be an exact ``int``,
 not a bool, float or string), with a number outside its range, with a jumper
-or master name that the profile does not define, without a ``cpu`` and a
-``bmc`` master or without a VRM raises ``InvalidProfile``.
+state other than ``connected`` or ``disconnected``, with a BMC user or
+password that is not a string, with a jumper or master name that the profile
+does not define, without a ``cpu`` and a ``bmc`` master or without a VRM
+raises ``InvalidProfile``.
 
 Each distinct profile text is parsed once per process and the resulting
 ``ProfileConfig`` is shared by every platform built from it, so it is
@@ -142,9 +144,15 @@ def _parse(doc: dict) -> ProfileConfig:
         raise InvalidProfile(f"bmc generation {bmc_doc['generation']!r} is not one of {GENERATIONS}")
     if not {"cpu", "bmc"} <= set(doc["masters"]):
         raise InvalidProfile("masters must include cpu and bmc")
-    jumpers = MappingProxyType(
-        {k: v == "connected" if isinstance(v, str) else bool(v) for k, v in doc.get("jumpers", {}).items()}
-    )
+    jumpers = {}
+    for name, state in doc.get("jumpers", {}).items():
+        if state not in ("connected", "disconnected"):
+            raise InvalidProfile(f"jumper {name!r} state {state!r} is not connected or disconnected")
+        jumpers[name] = state == "connected"
+    credentials = bmc_doc.get("credentials", {})
+    for user, password in credentials.items():
+        if not isinstance(user, str) or not isinstance(password, str):
+            raise InvalidProfile(f"bmc credentials of user {user!r}: users and passwords must be strings")
     masters = tuple(_parse_master(name, spec) for name, spec in doc["masters"].items())
     devices = tuple(_parse_device(d) for d in doc.get("devices", ()))
     if all(d.vrm is None for d in devices):
@@ -155,12 +163,12 @@ def _parse(doc: dict) -> ProfileConfig:
         _checked(d.write_masters or (), doc["masters"], "master")
     return ProfileConfig(
         name=doc["name"],
-        jumpers=jumpers,
+        jumpers=MappingProxyType(jumpers),
         masters=masters,
         devices=devices,
         bmc=BmcSpec(
             generation=bmc_doc["generation"],
-            credentials=MappingProxyType(dict(bmc_doc.get("credentials", {}))),
+            credentials=MappingProxyType(dict(credentials)),
         ),
         fault_model=FaultModel(**fault_model),
         nominal_load_a=float(load),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import InvalidAddress, OutOfRange, TruncatedFrame
+from .errors import InvalidAddress, InvalidFrame, OutOfRange, TruncatedFrame
 
 ADDR_MIN = 0x08
 ADDR_MAX = 0x77
@@ -110,14 +110,14 @@ class Transaction:
         if not ADDR_MIN <= self.address <= ADDR_MAX:
             raise InvalidAddress(f"address 0x{self.address:02X} outside 0x08..0x77")
         if not 0 <= self.command <= 0xFF:
-            raise ValueError(f"command 0x{self.command:X} not a byte")
+            raise InvalidFrame(f"command 0x{self.command:X} not a byte")
         if len(self.payload) > 4:
-            raise ValueError("payload longer than 4 bytes")
+            raise InvalidFrame("payload longer than 4 bytes")
         object.__setattr__(self, "payload", bytes(self.payload))
         desc = command_info(self.command)
         if desc is not None and self.direction is Direction.WRITE and self.payload:
             if len(self.payload) != desc.data_len:
-                raise ValueError(
+                raise InvalidFrame(
                     f"{desc.name} expects {desc.data_len} data byte(s), got {len(self.payload)}"
                 )
 
@@ -128,8 +128,7 @@ class Transaction:
     def text(self) -> str:
         """Log/transcript form, e.g. `W 0x20 0x21 [6E 00]`."""
         tag = "W" if self.is_write else "R"
-        body = " ".join(f"{b:02X}" for b in self.payload)
-        return f"{tag} 0x{self.address:02X} 0x{self.command:02X} [{body}]"
+        return f"{tag} 0x{self.address:02X} 0x{self.command:02X} [{self.payload.hex(' ').upper()}]"
 
 
 def encode_frame(t: Transaction) -> bytes:

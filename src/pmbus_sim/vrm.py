@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from . import protocol as pm
-from .fabric import BusReply, NACK_REPLY, ReplyStatus
+from .fabric import ACK_REPLY, BusReply, NACK_REPLY, ReplyStatus
 from .protocol import CODEC_5MV, CODEC_10MV, Direction, Transaction
 
 
@@ -179,10 +179,10 @@ class VrmDevice:
             if self.unlocked:
                 self.passcode = value or None
                 self.unlocked = self.passcode is None
-                return BusReply(ReplyStatus.ACK)
+                return ACK_REPLY
             if value == self.passcode:
                 self.unlocked = True
-                return BusReply(ReplyStatus.ACK)
+                return ACK_REPLY
             return NACK_REPLY
 
         origin = desc.origin if desc else pm.Origin.MANUFACTURER
@@ -193,7 +193,7 @@ class VrmDevice:
             if value not in self.registers:
                 return NACK_REPLY
             self.page = value
-            return BusReply(ReplyStatus.ACK)
+            return ACK_REPLY
 
         self.registers[self.page][code] = value
 
@@ -206,7 +206,7 @@ class VrmDevice:
 
         if self.vendor is VrmVendor.INTERSIL and self.page == self.config.rail_page:
             self._check_immediate_off()
-        return BusReply(ReplyStatus.ACK)
+        return ACK_REPLY
 
     def _check_immediate_off(self) -> None:
         rail = self._rail()

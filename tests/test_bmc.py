@@ -15,8 +15,10 @@ from pmbus_sim.bmc import Channel, ChannelKind
 from pmbus_sim.errors import (
     AuthFailure,
     FilteredByPolicy,
+    InvalidFrame,
     NoRootShell,
     PmbusSimError,
+    TruncatedFrame,
     Unauthorized,
 )
 from pmbus_sim.protocol import Direction, Transaction
@@ -139,8 +141,24 @@ def test_x12_rejects_corrupted_signature(x12):
 def test_ipmi_i2c_addressing(x11):
     reply = x11.bmc.ipmi_i2c(kcs(), 2, (0x20 << 1) | 1, bytes([pm.CMD_READ_VOUT]))
     assert reply.ok and reply.data == b"\xd8\x00"
-    with pytest.raises(ValueError):
+    with pytest.raises(TruncatedFrame):
         x11.bmc.ipmi_i2c(kcs(), 2, 0x40, b"")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        bytes([pm.CMD_VOUT_COMMAND, 0x6E, 0x00, 0x00, 0x00]),  # 4 data bytes for a 2-byte command
+        bytes([pm.CMD_VOUT_COMMAND, 0x6E]),
+        bytes([0x99, 1, 2, 3, 4, 5]),  # more than 4 data bytes
+    ],
+    ids=["vout-4-bytes", "vout-1-byte", "5-data-bytes"],
+)
+def test_ipmi_i2c_refuses_a_frame_the_command_cannot_take(x11, payload):
+    before = x11.fabric.state_fingerprint()
+    with pytest.raises(InvalidFrame):
+        x11.bmc.ipmi_i2c(kcs(), 2, 0x20 << 1, payload)
+    assert x11.fabric.state_fingerprint() == before and x11.fabric.transcript == []
 
 
 def test_ipmi_i2c_write_reaches_vrm(x11):

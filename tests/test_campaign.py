@@ -184,3 +184,14 @@ def test_power_down_wrong_vendor():
     platform = Platform.from_profile("x11ssl-cf", seed=0)
     with pytest.raises(WrongProfile):
         camp.run_power_down_attack(platform, channel="cpu")
+
+
+def test_refused_power_down_restores_the_page():
+    """The MPS VRM ACKs PAGE 1, then NACKs ON_OFF_CONFIG; the refusal leaves it on its rail page,
+    so a later overvolt lands on the rail as it does on a fresh board."""
+    platform = Platform.from_profile("x11ssl-cf", seed=0)
+    with pytest.raises(WrongProfile):
+        camp.run_power_down_attack(platform, channel="cpu")
+    assert platform.main_vrm.page == platform.main_vrm.config.rail_page
+    fresh = Platform.from_profile("x11ssl-cf", seed=0)
+    assert camp.run_overvolt_attack(platform) == camp.run_overvolt_attack(fresh)

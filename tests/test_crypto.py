@@ -129,6 +129,18 @@ def test_bpsw_halves_match_sympy():
     assert [n for n in odd if crypto._strong_lucas_prp(n)] == [n for n in odd if is_strong_lucas_prp(n)]
 
 
+def test_strong_lucas_matches_sympy_on_key_sized_numbers():
+    """Random 256- and 512-bit odd numbers, and the primes of seeded 512-bit keys."""
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    rng = random.Random(2023)
+    numbers = [rng.getrandbits(bits) | 1 | (1 << (bits - 1)) for bits in (256, 512) for _ in range(300)]
+    for seed in range(20):
+        key = CrtRsaKey.generate(512, random.Random(seed))
+        numbers += [key.p, key.q]
+    assert [crypto._strong_lucas_prp(n) for n in numbers] == [is_strong_lucas_prp(n) for n in numbers]
+
+
 @pytest.mark.parametrize("n", PSEUDOPRIMES)
 def test_is_prime_on_pseudoprimes(n):
     assert is_prime(n) == sympy.isprime(n)

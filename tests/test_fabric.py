@@ -7,6 +7,7 @@ import yaml
 
 from pmbus_sim import Platform
 from pmbus_sim import campaign as camp
+from pmbus_sim import filterguard as fg
 from pmbus_sim import protocol as pm
 from pmbus_sim.bmc import Channel, ChannelKind
 from pmbus_sim.cpu import CpuStatus
@@ -19,6 +20,7 @@ from pmbus_sim.errors import (
 )
 from pmbus_sim.fabric import BusReply, DummyDevice, Fabric, MasterPort, ReplyStatus
 from pmbus_sim.protocol import Direction, Transaction
+from pmbus_sim.vrm import VrmConfig, VrmDevice
 
 X11_BUS0 = {0x37, 0x50, 0x58}
 X11_BUS1 = {0x08, 0x10, 0x19, 0x20, 0x30, 0x35, 0x36, 0x44, 0x51}
@@ -130,8 +132,49 @@ def test_interposer_veto_styles(x11):
 
 
 def test_unknown_master_raises(x11):
-    with pytest.raises(ChannelBlocked):
-        x11.fabric.master_transfer("dma", 0, Transaction(0x20, Direction.READ, 0x00))
+    for _ in range(2):  # an unknown master leaves no route behind
+        with pytest.raises(ChannelBlocked):
+            x11.fabric.master_transfer("dma", 0, Transaction(0x20, Direction.READ, 0x00))
+
+
+VOUT_WRITE = Transaction(0x20, Direction.WRITE, pm.CMD_VOUT_COMMAND, b"\xd8\x00")
+
+
+def test_a_jumper_change_reroutes_the_next_write(x11):
+    fabric = x11.fabric
+    assert fabric.master_transfer("bmc", 2, VOUT_WRITE).ok
+    fabric.set_jumper("SMBDAT_VRM", False)
+    assert fabric.master_transfer("bmc", 2, VOUT_WRITE).status is ReplyStatus.NACK
+    fabric.set_jumper("SMBDAT_VRM", True)
+    assert fabric.master_transfer("bmc", 2, VOUT_WRITE).ok
+
+
+def test_an_interposer_inserted_after_a_write_sees_the_next_one(x11):
+    """A filter that goes in once the chain has written to the VRM still judges every later write."""
+    fabric = x11.fabric
+    assert fabric.master_transfer("bmc", 2, VOUT_WRITE).ok
+    policy = fg.FilterPolicy(mode=fg.PolicyMode.BLOCKLIST, blocked_commands=frozenset({pm.CMD_VOUT_COMMAND}))
+    fabric.insert_interposer(1, fg.BusFilter(policy))
+    assert fabric.master_transfer("bmc", 2, VOUT_WRITE).status is ReplyStatus.JAMMED
+
+
+def test_topology_changes_reroute_the_next_transfer():
+    fabric = Fabric()
+    fabric.add_master(MasterPort("cpu", {0: 0}))
+    probe = Transaction(0x20, Direction.READ, pm.CMD_READ_VOUT)
+    assert not fabric.master_transfer("cpu", 0, probe).ok  # nothing answers at 0x20 yet
+    fabric.attach_device(0, 0x20, VrmDevice(VrmConfig()))
+    assert fabric.master_transfer("cpu", 0, probe).ok
+    fabric.add_master(MasterPort("cpu", {0: 1}))  # the port now leads to an empty bus
+    assert not fabric.master_transfer("cpu", 0, probe).ok
+
+
+def test_jumpers_change_only_through_set_jumper(x11):
+    with pytest.raises(TypeError):
+        x11.fabric.jumpers["SMBDAT_VRM"] = False
+    with pytest.raises(AttributeError):
+        x11.fabric.jumpers = {"SMBDAT_VRM": False}
+    assert x11.fabric.jumpers["SMBDAT_VRM"] is True
 
 
 def test_missing_device_nacks():

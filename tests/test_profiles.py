@@ -68,6 +68,13 @@ def _delete(key):
         _set("nominal_load_a", True),
         _set("name", 5),
         _set("fault_model", {"brick_events_needed": 2.5}),
+        _set("jumpers", "SMBDAT_VRM", "conected"),  # a typo used to disconnect the VRM
+        _set("jumpers", "SMBDAT_VRM", True),  # a state is one of the two words
+        _set("jumpers", "JI2C", 0),
+        _set("jumpers", "JI2C", None),
+        _set("bmc", "credentials", {"ADMIN": 12345}),  # loaded, but no login could match it
+        _set("bmc", "credentials", {12345: "JPDKXF3BQZ"}),
+        _set("bmc", "credentials", {"ADMIN": None}),
     ],
 )
 def test_malformed_profile_is_rejected(tmp_path, mutate):

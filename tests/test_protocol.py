@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pmbus_sim import protocol as pm
-from pmbus_sim.errors import InvalidAddress, OutOfRange, TruncatedFrame
+from pmbus_sim.errors import InvalidAddress, InvalidFrame, OutOfRange, TruncatedFrame
 from pmbus_sim.protocol import Direction, Transaction, VidCodec, decode_frame, encode_frame
 
 addresses = st.integers(pm.ADDR_MIN, pm.ADDR_MAX)
@@ -60,6 +60,9 @@ def test_reserved_addresses_rejected(address):
 def test_write_payload_length_checked():
     with pytest.raises(ValueError):
         Transaction(0x20, Direction.WRITE, pm.CMD_VOUT_COMMAND, b"\x6e")
+    for command, payload in ((pm.CMD_VOUT_COMMAND, b"\x6e"), (0x99, bytes(5)), (0x100, b"")):
+        with pytest.raises(InvalidFrame):
+            Transaction(0x20, Direction.WRITE, command, payload)
 
 
 def test_transaction_text_form():
