@@ -19,13 +19,14 @@ from .errors import (
     AuthFailure,
     FilteredByPolicy,
     FirmwareError,
+    InvalidFrame,
     NoRootShell,
     TruncatedFrame,
     Unauthorized,
 )
 from .fabric import BusReply
 from .profiles import BmcSpec
-from .protocol import Direction, Transaction
+from .protocol import Transaction, ipmi_frame
 
 if TYPE_CHECKING:
     from cryptography.hazmat.primitives.asymmetric import rsa
@@ -111,17 +112,23 @@ class Bmc:
     # -- I2C surfaces ------------------------------------------------------------
 
     def ipmi_i2c(self, channel: Channel, bus: int, addr_byte: int, payload: bytes) -> BusReply:
-        """ipmitool-style passthrough: addr_byte carries (address<<1)|rw."""
+        """ipmitool-style passthrough: addr_byte carries (address<<1)|rw.
+
+        ``payload`` is the command byte, then any write data, as ``bytes`` or
+        any sequence of byte values; anything else raises ``InvalidFrame``.
+        """
         if not self._authorized(channel):
             raise Unauthorized(f"{channel.kind.value} channel")
         if not payload:
             raise TruncatedFrame("payload must carry at least the command byte")
         address = addr_byte >> 1
-        write = not addr_byte & 1
-        if write and self.spec.x12_policy and address in self.vrm_addresses:
+        if self.spec.x12_policy and not addr_byte & 1 and address in self.vrm_addresses:
             raise FilteredByPolicy(f"write to VRM 0x{address:02X}")
-        t = Transaction(address, Direction.WRITE if write else Direction.READ, payload[0], payload[1:])
-        return self.platform().transfer("bmc", bus, t)
+        try:
+            data = bytes(payload)
+        except (TypeError, ValueError) as exc:
+            raise InvalidFrame(f"payload is not a byte sequence: {exc}") from None
+        return self.platform().transfer("bmc", bus, ipmi_frame(addr_byte, data))
 
     def raw_master(self, bus: int, t: Transaction) -> BusReply:
         """Direct register-level bus mastering; needs code execution on the BMC."""

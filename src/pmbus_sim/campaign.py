@@ -55,6 +55,12 @@ class CampaignConfig:
     rsa_bits: int = 512
 
     def __post_init__(self):
+        # Every level must have a VID: a campaign that met one without would
+        # raise mid-run and leave the VRM in PMBus override.
+        if self.start_mv > CODEC_5MV.voltage(0xFF):
+            raise ValueError(f"start_mv must be at most {CODEC_5MV.voltage(0xFF)} mV")
+        if self.floor_mv < 0:
+            raise ValueError("floor_mv must not be negative")
         if self.floor_mv >= self.start_mv:
             raise ValueError("floor_mv must be below start_mv")
         if self.step_mv <= 0:
@@ -154,10 +160,15 @@ def run_undervolt_campaign(
 ) -> CampaignResult:
     if platform.status == "bricked":
         raise BrickedPlatform(platform.name)
+    # Every run steps down the same levels, so their VIDs are encoded once.
+    ladder = [
+        (level, CODEC_5MV.vid_for(level))
+        for level in range(cfg.start_mv, cfg.floor_mv - 1, -cfg.step_mv)
+    ]
     write = establish_chain(platform, cfg.chain)
-    platform.cpu.reseed(cfg.seed)
-    rng = platform.cpu.rng
-    message = rng.randrange(1, key.n)
+    cpu = platform.cpu
+    cpu.reseed(cfg.seed)
+    message = cpu.rng.randrange(1, key.n)
     override_writes = (
         (pm.CMD_VOUT_COMMAND, platform.main_vrm.svid_vid),
         (pm.CMD_OPERATION, pm.OPERATION_PMBUS_OVERRIDE),
@@ -173,24 +184,23 @@ def run_undervolt_campaign(
         record = RunRecord(index=index, outcome="correct", glitch_mv=None, trace=[])
         for command, value in override_writes:
             write(command, value)
-        level = cfg.start_mv
-        while level >= cfg.floor_mv:
+        for level, vid in ladder:
             record.trace.append(level)
-            write(pm.CMD_VOUT_COMMAND, CODEC_5MV.vid_for(level))
+            write(pm.CMD_VOUT_COMMAND, vid)
             clock += LEVEL_CHANGE_COST_S
-            if platform.cpu.status is not CpuStatus.RUNNING:
+            if cpu.status is not CpuStatus.RUNNING:
                 record.outcome = "crash"
                 record.glitch_mv = level
                 break
             # A signing that cannot fault draws nothing and returns the cached
             # signature, so such a level only costs clock time. The clock takes
             # one addition per signing: a single sum is not always bit-equal.
-            can_fault = not platform.cpu.fault_free
+            can_fault = not cpu.fault_free
             for _ in range(cfg.signings_per_level):
                 clock += SIGNING_COST_S
                 if not can_fault:
                     continue
-                result = platform.cpu.sign_crt_rsa(key, message)
+                result = cpu.sign_crt_rsa(key, message)
                 if isinstance(result, FaultySignature):
                     record.outcome = "faulty"
                     record.glitch_mv = level
@@ -201,10 +211,9 @@ def run_undervolt_campaign(
                     break
             if record.outcome == "faulty":
                 break
-            level -= cfg.step_mv
         for command, value in restore_writes:
             write(command, value)
-        if record.outcome == "crash" or platform.cpu.status is not CpuStatus.RUNNING:
+        if record.outcome == "crash" or cpu.status is not CpuStatus.RUNNING:
             platform.reboot()
             clock += REBOOT_COST_S
         runs.append(record)

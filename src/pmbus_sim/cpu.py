@@ -131,7 +131,8 @@ class Cpu:
 
     def sign_crt_rsa(self, key: CrtRsaKey, message: int) -> int | FaultySignature:
         self._require_running()
-        if not 0 <= message < key.n:
+        n = key.n
+        if not 0 <= message < n:
             raise ValueError("message must be reduced modulo n")
         sp, sq, sig = crt_branches(key, message)
         p_fault = self.model.p_fault(self.supply_mv)
@@ -147,7 +148,7 @@ class Cpu:
         if flipped:
             sig = crt_combine(sp, sq, key.p, key.q, key.qinv)
         if self.rng.random() < p_fault * self.model.stray_fault_weight:
-            sig = self._flip_bit(sig, key.n.bit_length()) % key.n
+            sig = self._flip_bit(sig, n.bit_length()) % n
             flipped.add("s")
         if not flipped:
             return sig

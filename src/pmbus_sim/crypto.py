@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Smallest modulus size key generation accepts: below it there are fewer than
 # two distinct primes of half the size (11 and 13 at 4 bits), so the draw loop
@@ -115,10 +115,18 @@ class CrtRsaKey:
     dp: int
     dq: int
     qinv: int
+    # Derived once per key: every faultable signing reads the modulus and
+    # hashes the key for the ``crt_branches`` cache.
+    n: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def n(self) -> int:
-        return self.p * self.q
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", self.p * self.q)
+        values = (self.p, self.q, self.e, self.d, self.dp, self.dq, self.qinv)
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_primes(cls, p: int, q: int, e: int = 65537) -> "CrtRsaKey":

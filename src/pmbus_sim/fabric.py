@@ -10,6 +10,10 @@ per physical bus sees every transaction before delivery and can veto it.
 device, write permission and interposer once and keeps the route. The
 topology and the jumpers are private: every method that changes them drops
 the kept routes, and ``Fabric.jumpers`` is a read-only view.
+
+Each delivered transfer appends one transcript line: the transaction's own
+``Transaction.line``, which it renders once, then for an ACKed read the reply
+bytes after ``->``, then the reply status.
 """
 
 from __future__ import annotations
@@ -188,7 +192,7 @@ class Fabric:
                 return veto
         reply = device.handle(t)
         arrow = "" if is_write or not reply.ok else " -> [" + " ".join(f"{b:02X}" for b in reply.data) + "]"
-        self.transcript.append(f"{t.text()}{arrow} {reply.status.value}")
+        self.transcript.append(f"{t.line}{arrow} {reply.status.value}")
         return reply
 
     def scan_bus(self, master: str, bus: int) -> set[int]:

@@ -4,11 +4,18 @@ Frames are modeled at transaction granularity: the 9-bit segment ACK
 handshake of the physical bus is handled below this layer, so a frame is
 just the shifted address byte, the command byte and (for writes) the data
 bytes.
+
+A ``Transaction`` is immutable and validated once, when it is built, and
+renders its transcript text (``Transaction.line``) on first use only.
+``ipmi_frame`` interns the transaction of each ipmitool-style
+``(addr_byte, data)`` frame, so a campaign that sends the same few frames
+thousands of times validates and renders each of them once.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .errors import InvalidAddress, InvalidFrame, OutOfRange, TruncatedFrame
@@ -125,10 +132,28 @@ class Transaction:
     def is_write(self) -> bool:
         return self.direction is Direction.WRITE
 
-    def text(self) -> str:
-        """Log/transcript form, e.g. `W 0x20 0x21 [6E 00]`."""
+    @functools.cached_property
+    def line(self) -> str:
+        """Log/transcript form, e.g. `W 0x20 0x21 [6E 00]`, rendered on first use."""
         tag = "W" if self.is_write else "R"
         return f"{tag} 0x{self.address:02X} 0x{self.command:02X} [{self.payload.hex(' ').upper()}]"
+
+    def text(self) -> str:
+        """Log/transcript form, e.g. `W 0x20 0x21 [6E 00]`."""
+        return self.line
+
+
+@functools.lru_cache(maxsize=1024)
+def ipmi_frame(addr_byte: int, data: bytes) -> Transaction:
+    """The validated transaction of an ipmitool-style frame, shared by equal frames.
+
+    ``addr_byte`` carries ``(address << 1) | rw`` and ``data`` (the command
+    byte, then any write payload) must not be empty. Callers key the cache on
+    ``bytes``, never on a mutable payload; an invalid frame raises on every
+    call, since exceptions are not cached.
+    """
+    direction = Direction.READ if addr_byte & 1 else Direction.WRITE
+    return Transaction(addr_byte >> 1, direction, data[0], data[1:])
 
 
 def encode_frame(t: Transaction) -> bytes:

@@ -185,8 +185,7 @@ class VrmDevice:
                 return ACK_REPLY
             return NACK_REPLY
 
-        origin = desc.origin if desc else pm.Origin.MANUFACTURER
-        if origin is pm.Origin.MANUFACTURER and not self.unlocked:
+        if desc.origin is pm.Origin.MANUFACTURER and not self.unlocked:
             return NACK_REPLY
 
         if code == pm.CMD_PAGE:

@@ -161,6 +161,15 @@ def test_ipmi_i2c_refuses_a_frame_the_command_cannot_take(x11, payload):
     assert x11.fabric.state_fingerprint() == before and x11.fabric.transcript == []
 
 
+@pytest.mark.parametrize(
+    "payload", [[-1], [pm.CMD_VOUT_COMMAND, 0x100, 0], [pm.CMD_OPERATION, "2"], "ab"]
+)
+def test_ipmi_i2c_refuses_a_payload_of_non_bytes(x11, payload):
+    with pytest.raises(InvalidFrame):
+        x11.bmc.ipmi_i2c(kcs(), 2, 0x20 << 1, payload)
+    assert x11.fabric.transcript == []
+
+
 def test_ipmi_i2c_write_reaches_vrm(x11):
     assert x11.bmc.ipmi_i2c(kcs(), 2, 0x20 << 1, bytes([pm.CMD_VOUT_COMMAND, 0x6E, 0x00])).ok
     assert x11.main_vrm.registers[0][pm.CMD_VOUT_COMMAND] == 0x6E

@@ -4,6 +4,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmbus_sim import Platform
 from pmbus_sim import campaign as camp
@@ -29,6 +30,27 @@ def test_config_validation():
         camp.CampaignConfig(seed=0, step_mv=0)
     with pytest.raises(ValueError):
         camp.CampaignConfig(seed=0, rsa_bits=7)
+    # levels the VID table cannot encode (its top is 1570 mV)
+    for overrides in ({"start_mv": 1575}, {"start_mv": 2000}, {"floor_mv": -5}):
+        with pytest.raises(ValueError):
+            camp.CampaignConfig(seed=0, **overrides)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start_mv=st.integers(-20, 2000), floor_mv=st.integers(-20, 2000), step_mv=st.integers(1, 400)
+)
+def test_every_accepted_config_ends_out_of_override(start_mv, floor_mv, step_mv, small_key):
+    """A config either fails up front or runs to its restore writes."""
+    try:
+        cfg = camp.CampaignConfig(
+            seed=0, start_mv=start_mv, floor_mv=floor_mv, step_mv=step_mv, max_runs=1
+        )
+    except ValueError:
+        return
+    platform = Platform.from_profile("x11ssl-cf")
+    camp.run_undervolt_campaign(platform, small_key, cfg)
+    assert not platform.main_vrm.override_active
 
 
 @pytest.mark.parametrize("chain", list(camp.Chain))

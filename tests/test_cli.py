@@ -79,6 +79,8 @@ def test_unknown_master_maps_to_exit_1(capsys, command):
     "config_text",
     [
         "floor_mv: 950\n",  # above the 900 mV start
+        "start_mv: 2000\n",  # above the 1570 mV top of the VID table
+        "floor_mv: -5\n",
         "chain: bogus\n",
         "- max_runs: 1\n",  # not a mapping
         "step_mV: 3\n",  # misspelt key: not the default step

@@ -154,6 +154,17 @@ def test_cached_branches_keep_the_fault_stream(supply_mv):
     assert crt_branches.cache_info().maxsize is not None
 
 
+def test_every_repeat_signing_is_a_branch_cache_hit():
+    cpu = Cpu(seed=3)
+    cpu.set_supply(820)
+    crt_branches.cache_clear()
+    for _ in range(50):
+        cpu.sign_crt_rsa(KEY, 42)
+    cpu.sign_crt_rsa(CrtRsaKey.from_primes(KEY.p, KEY.q, KEY.e), 42)  # an equal key
+    info = crt_branches.cache_info()
+    assert (info.misses, info.hits) == (1, 50)
+
+
 @st.composite
 def fault_models(draw):
     crash = draw(st.integers(0, 1500))

@@ -38,6 +38,17 @@ def test_from_primes_consistency(small_key):
     assert (k.q * k.qinv) % k.p == 1
 
 
+def test_derived_fields_leave_repr_eq_and_hash_alone():
+    key = CrtRsaKey.generate(256, random.Random(5))
+    values = (key.p, key.q, key.e, key.d, key.dp, key.dq, key.qinv)
+    assert repr(key) == "CrtRsaKey(p={}, q={}, e={}, d={}, dp={}, dq={}, qinv={})".format(*values)
+    assert key.n == key.p * key.q
+    twin = CrtRsaKey.from_primes(key.p, key.q, key.e)
+    assert twin == key and twin is not key
+    assert hash(twin) == hash(key) == hash(values)  # the hash a frozen dataclass derives
+    assert key != CrtRsaKey.from_primes(key.p, key.q, 3)
+
+
 def test_sign_verify_roundtrip(small_key):
     for m in range(small_key.n):
         sig = small_key.sign(m)

@@ -70,6 +70,54 @@ def test_transaction_text_form():
     assert t.text() == "W 0x20 0x21 [6E 00]"
 
 
+@given(transactions())
+def test_text_is_the_transcript_form(t):
+    data = " ".join(f"{b:02X}" for b in t.payload)
+    tag = "W" if t.direction is Direction.WRITE else "R"
+    assert t.text() == t.line == f"{tag} 0x{t.address:02X} 0x{t.command:02X} [{data}]"
+
+
+@given(transactions())
+def test_rendered_line_leaves_eq_hash_and_repr_alone(t):
+    fresh = Transaction(t.address, t.direction, t.command, t.payload)
+    before = repr(t)
+    t.text()
+    assert repr(t) == before == repr(fresh)
+    assert t == fresh and hash(t) == hash(fresh)
+
+
+# -- interned IPMI frames ----------------------------------------------------------
+
+
+def test_equal_frames_share_one_transaction():
+    t = pm.ipmi_frame(0x40, bytes([pm.CMD_VOUT_COMMAND, 0x6E, 0x00]))
+    assert t == Transaction(0x20, Direction.WRITE, pm.CMD_VOUT_COMMAND, b"\x6e\x00")
+    assert pm.ipmi_frame(0x40, bytes([pm.CMD_VOUT_COMMAND, 0x6E, 0x00])) is t
+    read = pm.ipmi_frame(0x41, bytes([pm.CMD_READ_VOUT]))
+    assert read == Transaction(0x20, Direction.READ, pm.CMD_READ_VOUT)
+
+
+@given(addresses, st.binary(min_size=2, max_size=2), st.binary(min_size=2, max_size=2))
+def test_different_payloads_make_different_frames(address, a, b):
+    frames = [pm.ipmi_frame(address << 1, bytes([pm.CMD_VOUT_COMMAND]) + data) for data in (a, b)]
+    assert [f.payload for f in frames] == [a, b]
+    assert (frames[0] is frames[1]) == (a == b)
+
+
+@pytest.mark.parametrize(
+    "addr_byte, data, error",
+    [
+        (0x00, bytes([pm.CMD_OPERATION, 0]), InvalidAddress),
+        (0x40, bytes([pm.CMD_VOUT_COMMAND, 0x6E]), InvalidFrame),
+        (0x40, bytes([0x99, 1, 2, 3, 4, 5]), InvalidFrame),
+    ],
+)
+def test_malformed_frame_raises_on_every_call(addr_byte, data, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            pm.ipmi_frame(addr_byte, data)
+
+
 # -- VID table ---------------------------------------------------------------------
 
 
