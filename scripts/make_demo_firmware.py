@@ -45,7 +45,7 @@ def main() -> None:
     print("\ntry:")
     print(f"  pmbus-sim fw parse {outdir}/stock.img --key-file {outdir}/key.json")
     print(f"  pmbus-sim fw verify {outdir}/stock.signed.img --key-file {outdir}/key.json "
-          f"--policy x12 --sign-pub {outdir}/signer.pub.pem")
+          f"--sign-pub {outdir}/signer.pub.pem")
     print(f"  pmbus-sim fw unpack {outdir}/patched.img --key-file {outdir}/key.json "
           f"--out {outdir}/unpacked")
 

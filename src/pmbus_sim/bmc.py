@@ -1,16 +1,18 @@
 """BMC management surfaces: LAN/KCS channels, firmware upgrade, IPMI I2C.
 
-X11-generation policy accepts any firmware image whose magic and CRCs
-check out; X12 additionally requires a valid RSA signature and filters
-IPMI I2C writes aimed at VRM addresses. A root shell (obtained by
-installing a firmware image whose SMASH shell was swapped for /bin/sh)
-unlocks raw bus mastering that bypasses the IPMI-level filter.
+The BMC's policy is two facts fixed when the platform is built: the vendor
+key an image must be signed with (None on X11, where any image whose magic
+and CRCs check out installs) and the VRM addresses whose IPMI I2C writes
+are refused (none on X11). A root shell (obtained by installing a firmware
+image whose SMASH shell was swapped for /bin/sh) unlocks raw bus mastering
+that bypasses the IPMI-level filter.
 """
 
 from __future__ import annotations
 
 import enum
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -25,7 +27,6 @@ from .errors import (
     Unauthorized,
 )
 from .fabric import BusReply
-from .profiles import BmcSpec
 from .protocol import Transaction, ipmi_frame
 
 if TYPE_CHECKING:
@@ -56,20 +57,18 @@ class Bmc:
     def __init__(
         self,
         platform: weakref.ref[Platform],
-        spec: BmcSpec,
+        credentials: Mapping[str, str],
         firmware_key: fw.KeyMaterial,
-        vrm_addresses: frozenset[int],
-        signing_pubkey: rsa.RSAPublicKey | None = None,
+        signing_pubkey: rsa.RSAPublicKey | None,
+        filtered_addresses: frozenset[int],
     ):
-        if spec.x12_policy and signing_pubkey is None:
-            raise ValueError("X12 BMC requires the vendor signing public key")
         # Held weakly, so the board and its BMC form no reference cycle; every
         # bus access goes through ``Platform.transfer``, which settles the rail.
         self.platform = platform
-        self.spec = spec
+        self.credentials = credentials
         self.firmware_key = firmware_key
-        self.vrm_addresses = frozenset(vrm_addresses)
-        self.signing_pubkey = signing_pubkey
+        self.signing_pubkey = signing_pubkey  # None: any CRC-valid image installs
+        self.filtered_addresses = filtered_addresses  # IPMI I2C writes to these are refused
         self.installed_digest: str | None = None
         self.root_shell = False
 
@@ -78,7 +77,7 @@ class Bmc:
     def authenticate(self, channel: Channel, user: str, password: str) -> Channel:
         if channel.kind is not ChannelKind.LAN:
             raise ValueError("only LAN channels authenticate with credentials")
-        if self.spec.credentials.get(user) != password:
+        if self.credentials.get(user) != password:
             raise AuthFailure(user)
         channel.authenticated = True
         return channel
@@ -93,13 +92,12 @@ class Bmc:
     def upgrade_firmware(self, channel: Channel, package_bytes: bytes) -> UpgradeResult:
         if not self._authorized(channel):
             return UpgradeResult(False, "Unauthorized")
-        x12 = self.spec.x12_policy
         try:
             pkg = fw.parse_package(package_bytes, self.firmware_key)
-            report = fw.verify(pkg, self.signing_pubkey if x12 else None)
+            report = fw.verify(pkg, self.signing_pubkey)
             if not all(report.section_crc.values()) or not report.half_crc_ok:
                 return UpgradeResult(False, "BadCrc")
-            if x12 and report.signature != "pass":
+            if report.signature not in (None, "pass"):
                 return UpgradeResult(False, "BadSignature")
             root_shell = fw.has_root_shell(pkg, self.firmware_key)
         except FirmwareError as exc:
@@ -122,7 +120,7 @@ class Bmc:
         if not payload:
             raise TruncatedFrame("payload must carry at least the command byte")
         address = addr_byte >> 1
-        if self.spec.x12_policy and not addr_byte & 1 and address in self.vrm_addresses:
+        if not addr_byte & 1 and address in self.filtered_addresses:
             raise FilteredByPolicy(f"write to VRM 0x{address:02X}")
         try:
             data = bytes(payload)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import protocol as pm
-from .bmc import Channel, ChannelKind, UpgradeResult
+from .bmc import Bmc, Channel, ChannelKind, UpgradeResult
 from .cpu import CpuStatus, FaultySignature
 from .crypto import MIN_RSA_BITS, CrtRsaKey, is_prime, lenstra_recover
 from .errors import (
@@ -136,6 +136,16 @@ def establish_chain(platform: Platform, chain: Chain) -> Callable[[int, int], Bu
 
         return write
 
+    write = _ipmi_i2c_writer(bmc, bus, address)
+    # fail fast if the passthrough filter refuses VRM writes
+    probe = write(pm.CMD_OPERATION, 0x00)
+    if not probe.ok:
+        raise ChainUnavailable("IPMI I2C passthrough cannot reach the VRM")
+    return write
+
+
+def _ipmi_i2c_writer(bmc: Bmc, bus: int, address: int) -> Callable[[int, int], BusReply]:
+    """VRM register writer through the IPMI I2C passthrough; a filtered write raises ``ChainUnavailable``."""
     channel = Channel(ChannelKind.KCS, host_root=True)
 
     def write(command: int, value: int) -> BusReply:
@@ -145,10 +155,6 @@ def establish_chain(platform: Platform, chain: Chain) -> Callable[[int, int], Bu
         except FilteredByPolicy as exc:
             raise ChainUnavailable(str(exc))
 
-    # fail fast if the passthrough filter refuses VRM writes
-    probe = write(pm.CMD_OPERATION, 0x00)
-    if not probe.ok:
-        raise ChainUnavailable("IPMI I2C passthrough cannot reach the VRM")
     return write
 
 
@@ -290,14 +296,23 @@ class PowerDownOutcome:
 
 
 def run_power_down_attack(platform: Platform, channel: str = "cpu") -> PowerDownOutcome:
+    """Drive the Intersil immediate-off path as ``channel``'s master.
+
+    The ``bmc`` channel writes through the IPMI I2C passthrough, so the BMC's
+    policy applies: a filtered VRM raises ``ChainUnavailable`` before any write.
+    """
     bus = platform.vrm_bus(channel)
     if bus is None:
         raise ChannelBlocked(f"{channel} has no route to the VRM bus")
     address = platform.main_vrm.config.address
 
-    def send(command: int, value: int) -> BusReply:
-        t = Transaction(address, Direction.WRITE, command, encode_value(command, value))
-        return platform.transfer(channel, bus, t)
+    if channel == "bmc":
+        send = _ipmi_i2c_writer(platform.bmc, bus, address)
+    else:
+
+        def send(command: int, value: int) -> BusReply:
+            t = Transaction(address, Direction.WRITE, command, encode_value(command, value))
+            return platform.transfer(channel, bus, t)
 
     original_page = platform.main_vrm.page
     page_reply = send(pm.CMD_PAGE, 0x01)

@@ -67,7 +67,7 @@ def _cmd_profiles(args) -> int:
 def _cmd_scan(args) -> int:
     platform = Platform.from_profile(args.profile)
     addresses = sorted(platform.fabric.scan_bus(args.master, args.bus))
-    if args.json:
+    if args.json or args.out:
         _write_json(args.out, {"bus": args.bus, "addresses": addresses})
     else:
         print(" ".join(f"0x{a:02X}" for a in addresses))
@@ -77,7 +77,7 @@ def _cmd_scan(args) -> int:
 def _cmd_detect(args) -> int:
     platform = Platform.from_profile(args.profile)
     report = run_detect(platform.fabric, args.bus, master=args.master)
-    if args.json:
+    if args.json or args.out:
         _write_json(
             args.out,
             {
@@ -98,20 +98,19 @@ def _load_campaign_config(args) -> camp.CampaignConfig:
         if not isinstance(doc, dict):
             raise ValueError(f"expected a mapping, got {type(doc).__name__}")
         numbers = {f.name for f in fields(camp.CampaignConfig)} - {"seed", "chain"}
-        unknown = set(doc) - numbers - {"chain"}
+        unknown = set(doc) - numbers
         if unknown:
             raise ValueError(f"unknown key(s) {sorted(unknown, key=str)}")
         not_ints = sorted(k for k in numbers & set(doc) if type(doc[k]) is not int)
         if not_ints:
             raise ValueError(f"not an int: {', '.join(not_ints)}")
-        chain = camp.Chain(doc.pop("chain", "ipmi-i2c"))  # checked even when --chain overrides it
-        return camp.CampaignConfig(seed=args.seed, chain=camp.Chain(args.chain or chain), **doc)
+        return camp.CampaignConfig(seed=args.seed, chain=camp.Chain(args.chain), **doc)
     except (yaml.YAMLError, ValueError) as exc:
         raise InvalidConfig(f"malformed campaign config: {exc}") from exc
 
 
 def _cmd_attack_undervolt(args) -> int:
-    platform = Platform.from_profile(args.profile, seed=args.seed)
+    platform = Platform.from_profile(args.profile)  # the campaign reseeds the CPU from cfg.seed
     cfg = _load_campaign_config(args)
     key = CrtRsaKey.generate(cfg.rsa_bits, random.Random(cfg.seed))
     result = camp.run_undervolt_campaign(platform, key, cfg)
@@ -141,7 +140,7 @@ def _cmd_attack_overvolt(args) -> int:
         bus = next(iter(platform.vrms))[0]
         platform.fabric.insert_interposer(bus, fg.BusFilter(policy))
     # run_overvolt_attack reads only cfg.chain: the attack signs nothing, so no seed is used
-    cfg = camp.CampaignConfig(seed=0, chain=camp.Chain(args.chain or "ipmi-i2c"))
+    cfg = camp.CampaignConfig(seed=0, chain=camp.Chain(args.chain))
     outcome = camp.run_overvolt_attack(platform, cfg)
     _write_json(args.out, asdict(outcome))
     print(
@@ -182,12 +181,7 @@ def _cmd_fw(args) -> int:
             print("verify requires --key-file", file=sys.stderr)
             return 2
         pkg = fw.parse_package(data, key)
-        pubkey = None
-        if args.policy == "x12":
-            if not args.sign_pub:
-                print("--policy x12 requires --sign-pub", file=sys.stderr)
-                return 2
-            pubkey = fw.load_public_key(args.sign_pub)
+        pubkey = fw.load_public_key(args.sign_pub) if args.sign_pub else None
         report = fw.verify(pkg, pubkey)
         payload = {
             "sections": report.section_crc,
@@ -270,17 +264,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="run an attack scenario")
     attack_sub = p.add_subparsers(dest="attack_command", required=True)
+    chains = [c.value for c in camp.Chain]
 
     pa = attack_sub.add_parser("undervolt")
     common(pa)
     pa.add_argument("--seed", type=int, required=True)
-    pa.add_argument("--chain", choices=[c.value for c in camp.Chain])
-    pa.add_argument("--config", help="YAML campaign config overrides")
+    pa.add_argument("--chain", choices=chains, default=camp.Chain.IPMI_I2C.value)
+    pa.add_argument("--config", help="YAML campaign config overrides (numbers only)")
     pa.set_defaults(func=_cmd_attack_undervolt)
 
     pa = attack_sub.add_parser("overvolt")
     common(pa)
-    pa.add_argument("--chain", choices=[c.value for c in camp.Chain])
+    pa.add_argument("--chain", choices=chains, default=camp.Chain.IPMI_I2C.value)
     pa.add_argument("--filter-policy", help="YAML filter policy to interpose first")
     pa.set_defaults(func=_cmd_attack_overvolt)
 
@@ -294,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image")
     p.add_argument("--key-file")
     p.add_argument("--sign-key", help="PEM private key for signing on repack")
-    p.add_argument("--sign-pub", help="PEM public key for x12 verification")
-    p.add_argument("--policy", choices=["x11", "x12"], default="x11")
+    p.add_argument("--sign-pub", help="PEM public key; verify checks the signature exactly when it is given")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fw)
 

@@ -6,10 +6,12 @@ carries a local-to-physical bus map. Devices sit on physical buses and may
 be gated by jumpers or per-master write permissions. An optional interposer
 per physical bus sees every transaction before delivery and can veto it.
 
-``master_transfer`` resolves each ``(master, local bus, address)`` to its
-device, write permission and interposer once and keeps the route. The
-topology and the jumpers are private: every method that changes them drops
-the kept routes, and ``Fabric.jumpers`` is a read-only view.
+The topology (masters and device placements) is fixed when the fabric is
+built; only jumpers and interposers change afterwards. ``master_transfer``
+resolves each ``(master, local bus, address)`` to its device, write
+permission and interposer once and keeps the route. ``set_jumper`` and
+``insert_interposer`` drop the kept routes, and ``Fabric.jumpers`` is a
+read-only view.
 
 Each delivered transfer appends one transcript line: the transaction's own
 ``Transaction.line``, which it renders once, then for an ACKed read the reply
@@ -19,13 +21,16 @@ bytes after ``->``, then the reply status.
 from __future__ import annotations
 
 import enum
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from .errors import AddressInUse, ChannelBlocked, InterposerPresent, UnknownJumper
 from .protocol import ADDR_MAX, ADDR_MIN, Transaction
+
+if TYPE_CHECKING:
+    from .vrm import VrmConfig
 
 
 class ReplyStatus(enum.Enum):
@@ -80,6 +85,17 @@ class MasterPort:
     requires_jumper: str | None = None
 
 
+@dataclass(frozen=True)
+class DeviceSpec:
+    """A device's placement on the fabric; ``vrm`` is None for a dummy device."""
+
+    bus: int  # physical bus id
+    address: int
+    vrm: VrmConfig | None = None
+    requires_jumpers: tuple[str, ...] = ()
+    write_masters: tuple[str, ...] | None = None  # None lets every master write; () lets none
+
+
 # A resolved route: the device (None if unreachable), whether the master may
 # write to it, and the interposer on its physical bus.
 Route = tuple[Device | None, bool, Interposer | None]
@@ -87,12 +103,20 @@ _UNREACHABLE: Route = (None, False, None)
 
 
 class Fabric:
-    def __init__(self, jumpers: Mapping[str, bool] | None = None):
-        self._jumpers: dict[str, bool] = dict(jumpers or {})
-        self._devices: dict[tuple[int, int], Device] = {}
-        self._masters: dict[str, MasterPort] = {}
-        self._device_jumpers: dict[tuple[int, int], Sequence[str]] = {}
-        self._write_masters: dict[tuple[int, int], Collection[str]] = {}
+    def __init__(
+        self,
+        jumpers: Mapping[str, bool],
+        masters: Iterable[MasterPort],
+        devices: Iterable[tuple[DeviceSpec, Device]],
+    ):
+        self._jumpers: dict[str, bool] = dict(jumpers)
+        self._masters: dict[str, MasterPort] = {port.name: port for port in masters}
+        self._devices: dict[tuple[int, int], tuple[DeviceSpec, Device]] = {}
+        for spec, device in devices:
+            key = (spec.bus, spec.address)
+            if key in self._devices:
+                raise AddressInUse(f"bus {spec.bus} address 0x{spec.address:02X}")
+            self._devices[key] = (spec, device)
         self._interposers: dict[int, Interposer] = {}
         self.transcript: list[str] = []
         self._routes: dict[tuple[str, int, int], Route] = {}
@@ -102,32 +126,7 @@ class Fabric:
         """Read-only view: ``set_jumper`` is the one way to change a jumper."""
         return MappingProxyType(self._jumpers)
 
-    # -- topology construction ------------------------------------------------
-
-    def add_master(self, port: MasterPort) -> None:
-        self._masters[port.name] = port
-        self._routes.clear()
-
-    def attach_device(
-        self,
-        bus: int,
-        address: int,
-        device: Device,
-        required_jumpers: Sequence[str] = (),
-        write_masters: Collection[str] | None = None,
-    ) -> None:
-        """``write_masters`` None lets every master write; an empty collection lets none."""
-        if not ADDR_MIN <= address <= ADDR_MAX:
-            raise ValueError(f"address 0x{address:02X} outside 7-bit device range")
-        key = (bus, address)
-        if key in self._devices:
-            raise AddressInUse(f"bus {bus} address 0x{address:02X}")
-        self._devices[key] = device
-        if required_jumpers:
-            self._device_jumpers[key] = required_jumpers
-        if write_masters is not None:
-            self._write_masters[key] = write_masters
-        self._routes.clear()
+    # -- run-time changes -----------------------------------------------------
 
     def insert_interposer(self, bus: int, interposer: Interposer) -> None:
         if bus in self._interposers:
@@ -167,14 +166,14 @@ class Fabric:
         phys = self.physical_bus(master, bus)
         if phys is None:
             return _UNREACHABLE
-        key = (phys, address)
-        device = self._devices.get(key)
-        if device is None:
+        slot = self._devices.get((phys, address))
+        if slot is None:
             return _UNREACHABLE
-        for jumper in self._device_jumpers.get(key, ()):
+        spec, device = slot
+        for jumper in spec.requires_jumpers:
             if not self._jumpers.get(jumper, False):
                 return _UNREACHABLE
-        writable = key not in self._write_masters or master in self._write_masters[key]
+        writable = spec.write_masters is None or master in spec.write_masters
         return device, writable, self._interposers.get(phys)
 
     def master_transfer(self, master: str, bus: int, t: Transaction) -> BusReply:
@@ -205,5 +204,5 @@ class Fabric:
 
     def state_fingerprint(self) -> tuple:
         return tuple(
-            (key, self._devices[key].fingerprint()) for key in sorted(self._devices)
+            (key, self._devices[key][1].fingerprint()) for key in sorted(self._devices)
         )

@@ -27,16 +27,11 @@ class Platform:
     def __init__(self, config: ProfileConfig, seed: int = 0):
         self.config = config
         self.name = config.name
-        self.fabric = Fabric(config.jumpers)
-        for port in config.masters:
-            self.fabric.add_master(port)
-
-        self.vrms: dict[tuple[int, int], VrmDevice] = {}
-        for dev in config.devices:
-            device = DummyDevice() if dev.vrm is None else VrmDevice(dev.vrm)
-            self.fabric.attach_device(dev.bus, dev.address, device, dev.requires_jumpers, dev.write_masters)
-            if dev.vrm is not None:
-                self.vrms[(dev.bus, dev.address)] = device
+        devices = [(spec, DummyDevice() if spec.vrm is None else VrmDevice(spec.vrm)) for spec in config.devices]
+        self.fabric = Fabric(config.jumpers, config.masters, devices)
+        self.vrms: dict[tuple[int, int], VrmDevice] = {
+            (spec.bus, spec.address): device for spec, device in devices if spec.vrm is not None
+        }
 
         self.main_vrm = next(iter(self.vrms.values()))
         self.nominal_mv = self.main_vrm.output_mv
@@ -45,12 +40,13 @@ class Platform:
         # The BMC holds the platform through a weak reference: a strong one
         # would close a reference cycle, and a dropped board, transcript and
         # all, would then wait for the cyclic garbage collector.
+        x12 = config.bmc.x12_policy
         self.bmc = Bmc(
             platform=weakref.ref(self),
-            spec=config.bmc,
+            credentials=config.bmc.credentials,
             firmware_key=self.firmware_key,
-            vrm_addresses=frozenset(addr for (_, addr) in self.vrms),
-            signing_pubkey=self.vendor_signing_key.public_key() if config.bmc.x12_policy else None,
+            signing_pubkey=self.vendor_signing_key.public_key() if x12 else None,
+            filtered_addresses=frozenset(addr for _, addr in self.vrms) if x12 else frozenset(),
         )
         self.boot_loop = False
         self.settle()
@@ -88,7 +84,7 @@ class Platform:
             "kernel": hashlib.sha256(f"{self.name}:kernel".encode()).digest() * 32,
             "webfs": [("index.html", b"<html>BMC</html>")],
         }
-        signer = self.vendor_signing_key if self.config.bmc.x12_policy else None
+        signer = self.vendor_signing_key if self.bmc.signing_pubkey is not None else None
         return fw.build_package(contents, self.firmware_key, signer=signer)
 
     # -- electrical feedback -------------------------------------------------------

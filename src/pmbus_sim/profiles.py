@@ -3,14 +3,14 @@
 Built-in profiles (``x11ssl-cf``, ``x12dpi-nt6``, ``e3c246d4i-2t``) ship as
 YAML files next to this module; user profiles load from arbitrary paths
 with the same schema. Parsing builds the runtime types directly: each master
-becomes a ``MasterPort``, each VRM entry a ``VrmConfig`` and ``fault_model`` a
-``FaultModel``. A document with an unknown key, generation, vendor or device
-kind, with a missing or mistyped value (an integer must be an exact ``int``,
-not a bool, float or string), with a number outside its range, with a jumper
-state other than ``connected`` or ``disconnected``, with a BMC user or
-password that is not a string, with a jumper or master name that the profile
-does not define, without a ``cpu`` and a ``bmc`` master or without a VRM
-raises ``InvalidProfile``.
+becomes a ``MasterPort``, each device a ``DeviceSpec`` (with a ``VrmConfig``
+for a VRM) and ``fault_model`` a ``FaultModel``. A document with an unknown
+key, generation, vendor or device kind, with a missing or mistyped value (an
+integer must be an exact ``int``, not a bool, float or string), with a number
+outside its range, with a jumper state other than ``connected`` or
+``disconnected``, with a BMC user or password that is not a string, with a
+jumper or master name that the profile does not define, without a ``cpu`` and
+a ``bmc`` master or without a VRM raises ``InvalidProfile``.
 
 Each distinct profile text is parsed once per process and the resulting
 ``ProfileConfig`` is shared by every platform built from it, so it is
@@ -30,7 +30,7 @@ import yaml
 
 from .cpu import FaultModel
 from .errors import InvalidProfile, UnknownProfile
-from .fabric import MasterPort
+from .fabric import DeviceSpec, MasterPort
 from .protocol import ADDR_MAX, ADDR_MIN
 from .vrm import VrmConfig, VrmVendor
 
@@ -52,17 +52,6 @@ _VRM_KEYS = {"vendor", *_VRM_INTS}
 _BMC_KEYS = {"generation", "credentials"}
 _FAULT_MODEL_KEYS = {f.name for f in fields(FaultModel)}
 _FAULT_MODEL_INTS = {f.name for f in fields(FaultModel) if type(f.default) is int}
-
-
-@dataclass(frozen=True)
-class DeviceSpec:
-    """A device's placement on the fabric; ``vrm`` is None for a dummy device."""
-
-    bus: int  # physical bus id
-    address: int
-    vrm: VrmConfig | None = None
-    requires_jumpers: tuple[str, ...] = ()
-    write_masters: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)

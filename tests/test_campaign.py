@@ -1,9 +1,11 @@
 """Attack orchestration: control chains, undervolting, overvolting, power-down."""
 
 import hashlib
+import importlib.resources
 import random
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from pmbus_sim import Platform
@@ -200,6 +202,33 @@ def test_power_down_bmc_channel_refused():
     platform = Platform.from_profile("e3c246d4i-2t", seed=0)
     with pytest.raises(ChannelBlocked):
         camp.run_power_down_attack(platform, channel="bmc")
+
+
+def test_power_down_bmc_channel_obeys_the_x12_filter(x12):
+    """The BMC channel writes through the IPMI I2C passthrough, so X12 refuses it before any write."""
+    before = x12.fabric.state_fingerprint()
+    with pytest.raises(ChainUnavailable):
+        camp.run_power_down_attack(x12, channel="bmc")
+    assert x12.fabric.transcript == []
+    assert x12.fabric.state_fingerprint() == before
+
+
+def test_power_down_bmc_channel_cannot_crash_an_x12_board(tmp_path):
+    """An Intersil VRM the BMC may write to stays up when the board's generation is X12."""
+    builtin = importlib.resources.files("pmbus_sim").joinpath("profiles/e3c246d4i-2t.yaml")
+    doc = yaml.safe_load(builtin.read_text())
+    del doc["devices"][1]["write_masters"]
+    doc["bmc"]["generation"] = "X12"
+    path = tmp_path / "x12-intersil.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    platform = Platform.from_profile(str(path))
+    with pytest.raises(ChainUnavailable):
+        camp.run_power_down_attack(platform, channel="bmc")
+    assert platform.status == "running" and platform.main_vrm.powered
+    doc["bmc"]["generation"] = "X11"  # the same board with an X11 BMC goes down
+    path.write_text(yaml.safe_dump(doc))
+    outcome = camp.run_power_down_attack(Platform.from_profile(str(path)), channel="bmc")
+    assert outcome.status_after_attack == "crashed"
 
 
 def test_power_down_wrong_vendor():

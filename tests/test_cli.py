@@ -37,6 +37,19 @@ def test_scan_json(capsys):
     assert doc == {"bus": 0, "addresses": [0x37, 0x50, 0x58]}
 
 
+@pytest.mark.parametrize("command", ["scan", "detect"])
+def test_out_writes_the_json_document(tmp_path, capsys, command):
+    out = tmp_path / f"{command}.json"
+    assert main([command, "--bus", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    doc = json.loads(out.read_text())
+    assert doc["bus"] == 1
+    if command == "scan":
+        assert doc["addresses"] == [0x08, 0x10, 0x19, 0x20, 0x30, 0x35, 0x36, 0x44, 0x51]
+    else:
+        assert [c["address"] for c in doc["candidates"]] == [0x20]
+
+
 def test_detect_text_matches_golden(capsys):
     assert main(["detect", "--bus", "1"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
@@ -82,6 +95,7 @@ def test_unknown_master_maps_to_exit_1(capsys, command):
         "start_mv: 2000\n",  # above the 1570 mV top of the VID table
         "floor_mv: -5\n",
         "chain: bogus\n",
+        "chain: ipmi-i2c\n",  # --chain alone picks the chain
         "- max_runs: 1\n",  # not a mapping
         "step_mV: 3\n",  # misspelt key: not the default step
         "step_mv: 2.5\n",  # a float, not an int
@@ -101,16 +115,23 @@ def test_malformed_campaign_config_maps_to_exit_1(tmp_path, capsys, config_text)
 
 def test_campaign_config_overrides_the_defaults(tmp_path, capsys):
     config = tmp_path / "campaign.yaml"
-    config.write_text("max_runs: 2\nstep_mv: 3\nchain: ipmi-i2c\n")
+    config.write_text("max_runs: 2\nstep_mv: 3\n")
     main(["attack", "undervolt", "--seed", "1", "--config", str(config)])
     doc = json.loads(capsys.readouterr().out)
     assert doc["stats"]["runs"] == 2
     assert doc["runs"][0]["trace"][:3] == [900, 897, 894]
 
 
-def test_powerdown_error_maps_to_exit_1(capsys):
-    assert main(["attack", "powerdown", "--profile", "e3c246d4i-2t", "--channel", "bmc"]) == 1
-    assert "ChannelBlocked" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "profile, error",
+    [
+        ("e3c246d4i-2t", "ChannelBlocked"),  # the Intersil VRM takes writes from the CPU only
+        ("x12dpi-nt6", "ChainUnavailable"),  # the X12 BMC filters IPMI I2C writes to its VRMs
+    ],
+)
+def test_powerdown_error_maps_to_exit_1(capsys, profile, error):
+    assert main(["attack", "powerdown", "--profile", profile, "--channel", "bmc"]) == 1
+    assert f"error: {error}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -177,13 +198,13 @@ def test_fw_signed_repack_passes_x12_verify(tmp_path, capsys):
     repack = ["fw", "repack", str(image), "--key-file", str(keyfile), "--sign-key", str(signer)]
     assert main([*repack, "--out", str(signed)]) == 0
     capsys.readouterr()
-    x12 = ["--key-file", str(keyfile), "--policy", "x12"]
-    assert main(["fw", "verify", str(signed), *x12, "--sign-pub", str(pub)]) == 0
+    verify = ["fw", "verify", "--key-file", str(keyfile)]
+    assert main([*verify, str(signed), "--sign-pub", str(pub)]) == 0
     assert json.loads(capsys.readouterr().out)["signature"] == "pass"
-    assert main(["fw", "verify", str(image), *x12, "--sign-pub", str(pub)]) == 1
+    assert main([*verify, str(image), "--sign-pub", str(pub)]) == 1
     assert json.loads(capsys.readouterr().out)["signature"] == "absent"
-    assert main(["fw", "verify", str(signed), *x12]) == 2
-    assert "--policy x12 requires --sign-pub" in capsys.readouterr().err
+    assert main([*verify, str(image)]) == 0  # without --sign-pub the signature is not checked
+    assert json.loads(capsys.readouterr().out)["signature"] is None
 
 
 def test_fw_verify_requires_key(tmp_path):

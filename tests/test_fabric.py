@@ -18,7 +18,7 @@ from pmbus_sim.errors import (
     InterposerPresent,
     UnknownJumper,
 )
-from pmbus_sim.fabric import BusReply, DummyDevice, Fabric, MasterPort, ReplyStatus
+from pmbus_sim.fabric import BusReply, DeviceSpec, DummyDevice, Fabric, MasterPort, ReplyStatus
 from pmbus_sim.protocol import Direction, Transaction
 from pmbus_sim.vrm import VrmConfig, VrmDevice
 
@@ -99,10 +99,11 @@ def test_empty_write_master_list_refuses_every_write(tmp_path):
 
 
 def test_address_collision_rejected():
-    fabric = Fabric()
-    fabric.attach_device(0, 0x20, DummyDevice())
+    cpu = MasterPort("cpu", {0: 0})
+    slot = DeviceSpec(bus=0, address=0x20)
+    Fabric({}, [cpu], [(slot, DummyDevice()), (DeviceSpec(bus=1, address=0x20), DummyDevice())])
     with pytest.raises(AddressInUse):
-        fabric.attach_device(0, 0x20, DummyDevice())
+        Fabric({}, [cpu], [(slot, DummyDevice()), (slot, DummyDevice())])
 
 
 def test_one_interposer_per_bus(x11):
@@ -158,17 +159,6 @@ def test_an_interposer_inserted_after_a_write_sees_the_next_one(x11):
     assert fabric.master_transfer("bmc", 2, VOUT_WRITE).status is ReplyStatus.JAMMED
 
 
-def test_topology_changes_reroute_the_next_transfer():
-    fabric = Fabric()
-    fabric.add_master(MasterPort("cpu", {0: 0}))
-    probe = Transaction(0x20, Direction.READ, pm.CMD_READ_VOUT)
-    assert not fabric.master_transfer("cpu", 0, probe).ok  # nothing answers at 0x20 yet
-    fabric.attach_device(0, 0x20, VrmDevice(VrmConfig()))
-    assert fabric.master_transfer("cpu", 0, probe).ok
-    fabric.add_master(MasterPort("cpu", {0: 1}))  # the port now leads to an empty bus
-    assert not fabric.master_transfer("cpu", 0, probe).ok
-
-
 def test_jumpers_change_only_through_set_jumper(x11):
     with pytest.raises(TypeError):
         x11.fabric.jumpers["SMBDAT_VRM"] = False
@@ -178,9 +168,11 @@ def test_jumpers_change_only_through_set_jumper(x11):
 
 
 def test_missing_device_nacks():
-    fabric = Fabric()
-    fabric.add_master(MasterPort("cpu", {0: 0}))
-    assert not fabric.master_transfer("cpu", 0, Transaction(0x20, Direction.READ, 0x00)).ok
+    vrm = (DeviceSpec(bus=0, address=0x20), VrmDevice(VrmConfig()))
+    fabric = Fabric({}, [MasterPort("cpu", {0: 0})], [vrm])
+    assert fabric.master_transfer("cpu", 0, Transaction(0x20, Direction.READ, pm.CMD_READ_VOUT)).ok
+    reply = fabric.master_transfer("cpu", 0, Transaction(0x21, Direction.READ, pm.CMD_READ_VOUT))
+    assert reply.status is ReplyStatus.NACK
 
 
 def test_route_helpers_invert_each_other(x11):

@@ -93,6 +93,7 @@ def test_generation_alone_sets_the_bmc_policy(name):
     x12 = platform.config.bmc.generation == "X12"
     assert platform.config.bmc.x12_policy is x12
     assert (platform.bmc.signing_pubkey is not None) is x12
+    assert platform.bmc.filtered_addresses == ({0x30, 0x34} if x12 else set())  # x12dpi-nt6's two VRMs
     stock = fw.parse_package(platform.build_stock_firmware(), platform.firmware_key)
     assert (stock.signature is not None) is x12
 
