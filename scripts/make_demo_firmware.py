@@ -5,7 +5,7 @@ Writes into the output directory:
     stock.img        canonical unsigned package for the chosen profile
     patched.img      same image with the management shell swapped for /bin/sh
     key.json         AES key material (as recoverable from the stock rootfs)
-    signer.pem       vendor signing private key (X12-style verification)
+    signer.pem       the demo vendor signing key every X12 board trusts (private)
     signer.pub.pem   matching public key
     stock.signed.img stock image with an RSA signature trailer
 """

@@ -18,7 +18,14 @@ from . import firmware as fw
 from .crypto import CrtRsaKey
 from .detect import detect as run_detect
 from .detect import render_report
-from .errors import InvalidAddress, InvalidConfig, InvalidPolicy, InvalidTranscript, PmbusSimError
+from .errors import (
+    BadArchive,
+    InvalidAddress,
+    InvalidConfig,
+    InvalidPolicy,
+    InvalidTranscript,
+    PmbusSimError,
+)
 from .machine import Platform
 from .profiles import BUILTIN_PROFILES
 from .protocol import Direction, Transaction
@@ -199,14 +206,19 @@ def _cmd_fw(args) -> int:
 
     if args.fw_command == "unpack":
         outdir = Path(args.out or "unpacked")
-        outdir.mkdir(parents=True, exist_ok=True)
+        # every entry is read and its path checked before anything is written
+        files = {outdir / f"{section.name}.bin": section.data for section in pkg.sections}
         for section in pkg.sections:
-            (outdir / f"{section.name}.bin").write_bytes(section.data)
             if section.name in fw.ARCHIVE_SECTIONS:
+                root = outdir / section.name
                 for name, blob in fw.unpack_archive(section.data, key):
-                    target = outdir / section.name / name
-                    target.parent.mkdir(parents=True, exist_ok=True)
-                    target.write_bytes(blob)
+                    target = root / name
+                    if not target.resolve().is_relative_to(root.resolve()):
+                        raise BadArchive(f"{section.name} entry {name!r} leads outside {root}")
+                    files[target] = blob
+        for target, blob in files.items():
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(blob)
         print(f"unpacked to {outdir}")
         return 0
 
@@ -307,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PmbusSimError as exc:
+    except (PmbusSimError, OSError) as exc:  # OSError: an input file that cannot be read
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -76,7 +76,8 @@ class DecryptFailed(FirmwareError):
 
 class BadArchive(FirmwareError):
     """Record archive or firmware table that does not parse: a truncated record, a non-UTF-8 name,
-    or a table that does not list exactly the four sections."""
+    or a table that does not list exactly the four sections; for ``fw unpack``, also an entry
+    name that leads outside its section's directory."""
 
 
 class NoSuchEntry(FirmwareError):
@@ -113,6 +114,11 @@ class InvalidPolicy(PmbusSimError):
 
 class InvalidConfig(PmbusSimError):
     """Malformed campaign config: an unknown key or chain, or a value the campaign rejects."""
+
+
+class InvalidKey(PmbusSimError):
+    """Malformed key input: an AES key file that is not two 16-byte hex values, or a PEM
+    file that is not an unencrypted RSA key of the kind asked for."""
 
 
 class InvalidTranscript(PmbusSimError):

@@ -17,6 +17,7 @@ AES-CBC encrypted in place; everything past the header is just compressed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import lzma
@@ -31,6 +32,7 @@ from .errors import (
     BadFooter,
     BadMagic,
     DecryptFailed,
+    InvalidKey,
     NoSuchEntry,
     TruncatedImage,
 )
@@ -51,6 +53,7 @@ ENC_HEADER_MAX = 512
 SHELL_ENTRY = "SMASH/msh"
 ROOT_SHELL_SCRIPT = b"#!/bin/sh\nexec /bin/sh\n"
 DEFAULT_VERSION = 0x0163
+AES_KEY_BYTES = 16  # AES-128 key and CBC IV alike
 
 _FOOTER_STRUCT = struct.Struct("<8sIIIII")  # magic, version, body_len, half_crc, table_off, table_len
 _RECORD_STRUCT = struct.Struct("<5s16sIII")
@@ -63,8 +66,21 @@ class KeyMaterial:
 
     @classmethod
     def load(cls, path: str | Path) -> "KeyMaterial":
-        data = json.loads(Path(path).read_text())
-        return cls(bytes.fromhex(data["aes_key"]), bytes.fromhex(data["aes_iv"]))
+        """A JSON object with exactly ``aes_key`` and ``aes_iv``, each 16 bytes in hex;
+        anything else raises ``InvalidKey``."""
+        try:
+            doc = json.loads(Path(path).read_text())
+        except ValueError as exc:  # not JSON, or not text
+            raise InvalidKey(f"{path}: not a JSON key file: {exc}") from exc
+        if not isinstance(doc, dict) or set(doc) != {"aes_key", "aes_iv"}:
+            raise InvalidKey(f"{path}: expected an object with exactly aes_key and aes_iv")
+        try:
+            key, iv = bytes.fromhex(doc["aes_key"]), bytes.fromhex(doc["aes_iv"])
+        except (TypeError, ValueError) as exc:
+            raise InvalidKey(f"{path}: aes_key and aes_iv must be hex strings: {exc}") from exc
+        if len(key) != AES_KEY_BYTES or len(iv) != AES_KEY_BYTES:
+            raise InvalidKey(f"{path}: aes_key and aes_iv must be {AES_KEY_BYTES} bytes each")
+        return cls(key, iv)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -374,22 +390,89 @@ def enable_root_shell(pkg: FirmwarePackage, key: KeyMaterial) -> bytes:
 # -- RSA key helpers ----------------------------------------------------------------
 
 
-def generate_signing_key() -> rsa.RSAPrivateKey:
+# A published demo key stands in for the vendor's X12 signing key, as the AES key
+# derived from the profile name stands in for the one in ipmi.so: every X12 board
+# trusts it, and the attack chains never sign with it. Its two 1024-bit primes were
+# drawn once, offline, by `cryptography`'s RSA key generation (e = 65537, 2048 bits).
+_VENDOR_E = 65537
+_VENDOR_P = int(
+    "fd7778a8990b39cb1741881146c5b4a006c2854ba904e7a7c8e0ae590769f98a"
+    "4d68bae18c6c1401aa41634c484f7097f393f20c1c96f34a6763e3d006b66b93"
+    "d6618d628eaf0c709bea5e76b4cd0e8e56c671d1980f9f791d2b0b93942f6488"
+    "2c19217a0a79f73e31acd33385681f0e47faf273870974df3381d11d2987bfdd",
+    16,
+)
+_VENDOR_Q = int(
+    "bec27f3d532161b19896006d497c8309fdab2f50de38eeb8111485fbfa126ab2"
+    "23d5231fb1acd9aeb25f22dbb46d7b4383a085c7e36b0d535341760fe417a6a8"
+    "242ddbfeed69ec1cae932053f355a68b94736945009715038286cda4df2f316f"
+    "8afa5a4421c8ff136ea50b16579bb4b002a9dc0b90442a6240ca006a06833c27",
+    16,
+)
+
+
+def vendor_private_numbers() -> rsa.RSAPrivateNumbers:
+    """The vendor key's numbers: ``d`` and the CRT parts derived from the two primes."""
     from cryptography.hazmat.primitives.asymmetric import rsa
 
-    return rsa.generate_private_key(public_exponent=65537, key_size=2048)
+    p, q = _VENDOR_P, _VENDOR_Q
+    d = pow(_VENDOR_E, -1, (p - 1) * (q - 1))
+    return rsa.RSAPrivateNumbers(
+        p=p,
+        q=q,
+        d=d,
+        dmp1=rsa.rsa_crt_dmp1(d, p),
+        dmq1=rsa.rsa_crt_dmq1(d, q),
+        iqmp=rsa.rsa_crt_iqmp(p, q),
+        public_numbers=rsa.RSAPublicNumbers(_VENDOR_E, p * q),
+    )
+
+
+@functools.cache
+def vendor_signing_key() -> rsa.RSAPrivateKey:
+    """The one X12 vendor key, built once per process.
+
+    The numbers are a package constant that the tests load with validation, so
+    this load skips the 50-60 ms primality check.
+    """
+    return vendor_private_numbers().private_key(unsafe_skip_rsa_key_validation=True)
+
+
+# PKCS#1 v1.5 over SHA-256: a 19-byte DigestInfo, the 32-byte digest and 11 bytes of padding
+_MIN_SIGNER_BITS = 8 * (19 + 32 + 11)
+
+
+def _load_pem(path: str | Path, kind: str, load, key_type):
+    """A PEM key that ``load`` parses to a ``key_type``; anything else raises ``InvalidKey``."""
+    from cryptography.exceptions import UnsupportedAlgorithm
+
+    try:
+        key = load(Path(path).read_bytes())
+    except (ValueError, TypeError, UnsupportedAlgorithm) as exc:  # TypeError: encrypted
+        raise InvalidKey(f"{path}: not a PEM {kind} key: {exc}") from exc
+    if not isinstance(key, key_type):
+        raise InvalidKey(f"{path}: {type(key).__name__} is not an RSA {kind} key")
+    return key
 
 
 def load_private_key(path: str | Path) -> rsa.RSAPrivateKey:
+    """An unencrypted PEM RSA private key long enough to sign SHA-256, else ``InvalidKey``."""
     from cryptography.hazmat.primitives import serialization
+    from cryptography.hazmat.primitives.asymmetric import rsa
 
-    return serialization.load_pem_private_key(Path(path).read_bytes(), password=None)
+    load = functools.partial(serialization.load_pem_private_key, password=None)
+    key = _load_pem(path, "private", load, rsa.RSAPrivateKey)
+    if key.key_size < _MIN_SIGNER_BITS:
+        raise InvalidKey(f"{path}: a {key.key_size}-bit key cannot sign; {_MIN_SIGNER_BITS} bits at least")
+    return key
 
 
 def load_public_key(path: str | Path) -> rsa.RSAPublicKey:
+    """A PEM RSA public key, else ``InvalidKey``."""
     from cryptography.hazmat.primitives import serialization
+    from cryptography.hazmat.primitives.asymmetric import rsa
 
-    return serialization.load_pem_public_key(Path(path).read_bytes())
+    return _load_pem(path, "public", serialization.load_pem_public_key, rsa.RSAPublicKey)
 
 
 def save_private_key(key: rsa.RSAPrivateKey, path: str | Path) -> None:

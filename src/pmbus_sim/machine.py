@@ -64,9 +64,11 @@ class Platform:
         iv = hashlib.sha256(f"{self.name}:aes-iv".encode()).digest()[:16]
         return fw.KeyMaterial(key, iv)
 
-    @cached_property
+    @property
     def vendor_signing_key(self):
-        return fw.generate_signing_key()
+        # the one key every X12 board trusts; loaded on first use, so boards
+        # that never sign or verify import no `cryptography`
+        return fw.vendor_signing_key()
 
     def stock_rootfs_entries(self) -> list[tuple[str, bytes]]:
         key = self.firmware_key

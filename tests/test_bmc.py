@@ -7,6 +7,7 @@ import struct
 import weakref
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import rsa
 
 from pmbus_sim import Platform
 from pmbus_sim import firmware as fw
@@ -130,6 +131,26 @@ def test_stock_firmware_grants_no_shell(x11):
 def test_x12_demands_vendor_signature(x12):
     assert x12.bmc.upgrade_firmware(kcs(), patched_image(x12)).reason == "BadSignature"
     assert x12.bmc.upgrade_firmware(kcs(), x12.build_stock_firmware()).accepted
+
+
+def test_x12_boards_trust_one_vendor_key(x12):
+    other = Platform.from_profile("x12dpi-nt6", seed=7)
+    assert other.vendor_signing_key is x12.vendor_signing_key
+    image = x12.build_stock_firmware()
+    assert other.build_stock_firmware() == image  # signing is deterministic, so is the image
+    for verifier in (x12, other):
+        pkg = fw.parse_package(image, verifier.firmware_key)
+        assert fw.verify(pkg, verifier.bmc.signing_pubkey).signature == "pass"
+    assert other.bmc.upgrade_firmware(kcs(), image).accepted
+
+
+def test_x12_refuses_an_image_signed_by_another_key(x12):
+    foreign = rsa.generate_private_key(public_exponent=65537, key_size=2048)
+    pkg = fw.parse_package(x12.build_stock_firmware(), x12.firmware_key)
+    image = fw.repack(pkg, x12.firmware_key, foreign)
+    assert fw.verify(fw.parse_package(image, x12.firmware_key), foreign.public_key()).ok
+    assert x12.bmc.upgrade_firmware(kcs(), image).reason == "BadSignature"
+    assert x12.bmc.installed_digest is None
 
 
 def test_x12_rejects_corrupted_signature(x12):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from cryptography.hazmat.primitives.asymmetric import rsa
 
 from pmbus_sim import Platform
 from pmbus_sim import firmware as fw
@@ -190,7 +191,7 @@ def test_fw_signed_repack_passes_x12_verify(tmp_path, capsys):
     image.write_bytes(platform.build_stock_firmware())
     platform.firmware_key.save(keyfile)
     signer, pub = tmp_path / "signer.pem", tmp_path / "signer.pub.pem"
-    key = fw.generate_signing_key()
+    key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
     fw.save_private_key(key, signer)
     fw.save_public_key(key.public_key(), pub)
 
@@ -285,3 +286,117 @@ def test_malformed_transcript_maps_to_exit_1(tmp_path, capsys, bad_line, reason)
     err = capsys.readouterr().err
     assert err.startswith("error: InvalidTranscript: line 3: ")
     assert reason in err
+
+
+def _pem_files(tmp_path):
+    """PEM files that are not an unencrypted RSA key of the kind each flag takes."""
+    from cryptography.hazmat.primitives import serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+
+    rsa_key = fw.vendor_signing_key()
+    ec_key = ec.generate_private_key(ec.SECP256R1())
+    p, q = 2**240 + 115, 2**240 + 325  # primes: a 481-bit modulus, too short to sign SHA-256
+    d = pow(65537, -1, (p - 1) * (q - 1))
+    short_key = rsa.RSAPrivateNumbers(
+        p, q, d, rsa.rsa_crt_dmp1(d, p), rsa.rsa_crt_dmq1(d, q), rsa.rsa_crt_iqmp(p, q),
+        rsa.RSAPublicNumbers(65537, p * q),
+    ).private_key()
+
+    pem = serialization.Encoding.PEM
+    pkcs8 = serialization.PrivateFormat.PKCS8
+    spki = serialization.PublicFormat.SubjectPublicKeyInfo
+    files = {
+        "garbage.pem": b"-----BEGIN PUBLIC KEY-----\nnot base64\n-----END PUBLIC KEY-----\n",
+        "rsa-private.pem": rsa_key.private_bytes(pem, pkcs8, serialization.NoEncryption()),
+        "rsa-encrypted.pem": rsa_key.private_bytes(
+            pem, pkcs8, serialization.BestAvailableEncryption(b"secret")
+        ),
+        "ec-public.pem": ec_key.public_key().public_bytes(pem, spki),
+        "ec-private.pem": ec_key.private_bytes(pem, pkcs8, serialization.NoEncryption()),
+        "rsa-short.pem": short_key.private_bytes(pem, pkcs8, serialization.NoEncryption()),
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+
+
+@pytest.mark.parametrize(
+    "key_text, pem_flag",
+    [
+        ('{"aes_key": "zz"}', None),  # not hex, and no IV
+        ('{"aes_key": "zz", "aes_iv": "00"}', None),
+        ("aes_key: 00\n", None),  # not JSON
+        ('{"aes_key": "00", "aes_iv": "00"}', None),  # 1-byte key and IV
+        ('{"aes_key": 0, "aes_iv": 0}', None),  # numbers, not hex strings
+        ('["00", "00"]', None),  # not an object
+        (None, ("verify", "--sign-pub", "garbage.pem")),
+        (None, ("verify", "--sign-pub", "rsa-private.pem")),  # a private key where a public one goes
+        (None, ("verify", "--sign-pub", "ec-public.pem")),
+        (None, ("repack", "--sign-key", "garbage.pem")),
+        (None, ("repack", "--sign-key", "rsa-encrypted.pem")),
+        (None, ("repack", "--sign-key", "ec-private.pem")),
+        (None, ("repack", "--sign-key", "rsa-short.pem")),
+    ],
+    ids=[
+        "not-hex", "no-iv", "not-json", "1-byte", "numbers", "list",
+        "pub-garbage", "pub-is-private", "pub-ec",
+        "key-garbage", "key-encrypted", "key-ec", "key-too-short",
+    ],
+)
+def test_malformed_key_maps_to_exit_1(tmp_path, capsys, key_text, pem_flag):
+    platform = Platform.from_profile("x11ssl-cf")
+    image, keyfile = tmp_path / "stock.img", tmp_path / "key.json"
+    image.write_bytes(platform.build_stock_firmware())
+    platform.firmware_key.save(keyfile)
+    if key_text is not None:
+        argv = ["fw", "parse", str(image)]
+        keyfile.write_text(key_text)
+    else:
+        _pem_files(tmp_path)
+        command, flag, name = pem_flag
+        argv = ["fw", command, str(image), flag, str(tmp_path / name), "--out", str(tmp_path / "o")]
+    assert main([*argv, "--key-file", str(keyfile)]) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidKey: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fw", "parse", "{missing}"],
+        ["fw", "parse", "{image}", "--key-file", "{missing}"],
+        ["fw", "verify", "{image}", "--key-file", "{key}", "--sign-pub", "{missing}"],
+        ["fw", "repack", "{image}", "--key-file", "{key}", "--sign-key", "{missing}"],
+        ["attack", "overvolt", "--filter-policy", "{missing}"],
+        ["attack", "undervolt", "--seed", "1", "--config", "{missing}"],
+        ["filter", "simulate", "--policy", "{missing}", "--replay", "{replay}"],
+        ["filter", "simulate", "--policy", "{policy}", "--replay", "{missing}"],
+    ],
+    ids=["image", "key-file", "sign-pub", "sign-key", "filter-policy", "config", "policy", "replay"],
+)
+def test_missing_input_file_maps_to_exit_1(tmp_path, capsys, argv):
+    platform = Platform.from_profile("x11ssl-cf")
+    paths = {name: tmp_path / name for name in ("image", "key", "policy", "replay", "missing")}
+    paths["image"].write_bytes(platform.build_stock_firmware())
+    platform.firmware_key.save(paths["key"])
+    paths["policy"].write_text("mode: blocklist\n")
+    paths["replay"].write_text("W 0x20 0x21 [6E 00]\n")
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileNotFoundError: ") and str(paths["missing"]) in err
+
+
+@pytest.mark.parametrize("entry", ["../../escaped.txt", "../rootfs.bin", "{tmp}/absolute.txt"])
+def test_unpack_refuses_an_entry_outside_its_directory(tmp_path, capsys, entry):
+    key = Platform.from_profile("x11ssl-cf").firmware_key
+    contents = {
+        "nvram": b"\x00" * 64,
+        "rootfs": [("SMASH/msh", b"\x7fELF"), (entry.format(tmp=tmp_path), b"outside\n")],
+        "kernel": b"\x00" * 64,
+        "webfs": [("index.html", b"<html></html>")],
+    }
+    image, keyfile = tmp_path / "evil.img", tmp_path / "key.json"
+    image.write_bytes(fw.build_package(contents, key))
+    key.save(keyfile)
+    out = tmp_path / "out" / "unpacked"
+    assert main(["fw", "unpack", str(image), "--key-file", str(keyfile), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: BadArchive: rootfs entry ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["evil.img", "key.json"]  # nothing written

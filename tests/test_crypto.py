@@ -226,3 +226,31 @@ def test_bus_attacks_do_not_import_cryptography():
         check=True,
     )
     assert out.stdout.split("\n")[:2] == ["False", "True True"]
+
+
+
+X12_BOARD = """
+import sys
+from pmbus_sim import Platform
+from pmbus_sim.bmc import Channel, ChannelKind
+
+platform = Platform.from_profile("x12dpi-nt6")
+image = platform.build_stock_firmware()
+assert platform.bmc.upgrade_firmware(Channel(ChannelKind.KCS, host_root=True), image).accepted
+print("cryptography" in sys.modules, "cryptography.hazmat.primitives.serialization" in sys.modules)
+"""
+
+
+def test_x12_board_loads_its_vendor_key_without_serialization():
+    """The vendor key is built from its numbers, not parsed from PEM, so an X12 board
+    that builds, signs and verifies its firmware never imports the serialization
+    modules."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pmbus_sim.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", X12_BOARD],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "True False"

@@ -6,6 +6,7 @@ import random
 import struct
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import rsa
 from hypothesis import given, settings, strategies as st
 
 from pmbus_sim import firmware as fw
@@ -150,8 +151,16 @@ def test_half_crc_covers_first_half_only():
     assert report.half_crc_ok and not report.ok
 
 
+def test_vendor_key_numbers_pass_validation():
+    """The shipped numbers are a sound RSA-2048 key, so loading them unchecked is safe."""
+    checked = fw.vendor_private_numbers().private_key()  # validates the primes and CRT parts
+    assert checked.key_size == 2048 and checked.public_key().public_numbers().e == 65537
+    assert checked.private_numbers() == fw.vendor_signing_key().private_numbers()
+    assert fw.vendor_signing_key() is fw.vendor_signing_key()
+
+
 def test_signature_lifecycle():
-    signer = fw.generate_signing_key()
+    signer = rsa.generate_private_key(public_exponent=65537, key_size=2048)
     img = build(signer=signer)
     pkg = fw.parse_package(img, KEY)
     assert pkg.signature is not None

@@ -28,7 +28,7 @@ U32 = st.integers(0, 0xFFFFFFFF)
 
 @functools.cache
 def board(name: str) -> tuple[Platform, bytes]:
-    """One platform per board for the whole module: the X12 one generates an RSA key."""
+    """One platform and its stock image per board, shared by the whole module."""
     platform = Platform.from_profile(name)
     return platform, platform.build_stock_firmware()
 

@@ -9,8 +9,6 @@ then the reply status. Frames repeat within an example, so later ones come
 from the shared frame cache.
 """
 
-import functools
-
 from hypothesis import example, given, strategies as st
 
 from pmbus_sim import Platform
@@ -43,16 +41,6 @@ payloads = st.tuples(st.sampled_from((bytes, bytearray, list)), payload_values).
 frames = st.tuples(st.one_of(st.just(2), st.integers(0, 3)), addr_bytes, payloads)
 
 
-@functools.cache
-def x12() -> Platform:
-    """One X12 board for the module: building it generates an RSA key."""
-    return Platform.from_profile("x12dpi-nt6")
-
-
-def board(name: str) -> Platform:
-    return x12() if name == "x12dpi-nt6" else Platform.from_profile(name)
-
-
 def hex_bytes(data) -> str:
     return " ".join(f"{b:02X}" for b in data)
 
@@ -73,7 +61,7 @@ def expected_line(addr_byte: int, payload, reply) -> str:
 )
 @example(name="x11ssl-cf", authorized=True, sent=[(2, (0x20 << 1) | 1, [pm.CMD_READ_VOUT])] * 2)
 def test_ipmi_i2c_raises_only_simulator_errors(name, authorized, sent):
-    platform = board(name)
+    platform = Platform.from_profile(name)
     channel = Channel(ChannelKind.KCS, host_root=authorized)
     transcript = platform.fabric.transcript
     for bus, addr_byte, payload in sent:
