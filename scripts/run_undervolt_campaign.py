@@ -23,10 +23,13 @@ def main() -> None:
     parser.add_argument("--rsa-bits", type=int, default=512)
     args = parser.parse_args()
 
+    try:
+        cfg = camp.CampaignConfig(
+            seed=args.seed, chain=camp.Chain(args.chain), max_runs=args.runs, rsa_bits=args.rsa_bits
+        )
+    except ValueError as exc:  # e.g. --runs 0: a usage error, not a traceback
+        parser.error(str(exc))
     platform = Platform.from_profile(args.profile, seed=args.seed)
-    cfg = camp.CampaignConfig(
-        seed=args.seed, chain=camp.Chain(args.chain), max_runs=args.runs, rsa_bits=args.rsa_bits
-    )
     key = CrtRsaKey.generate(cfg.rsa_bits, random.Random(cfg.seed))
     result = camp.run_undervolt_campaign(platform, key, cfg)
 

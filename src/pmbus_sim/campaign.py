@@ -65,6 +65,10 @@ class CampaignConfig:
             raise ValueError("floor_mv must be below start_mv")
         if self.step_mv <= 0:
             raise ValueError("step_mv must be positive")
+        if self.signings_per_level < 1:
+            raise ValueError("signings_per_level must be at least 1")
+        if self.max_runs < 1:
+            raise ValueError("max_runs must be at least 1")
         if self.rsa_bits < MIN_RSA_BITS:
             raise ValueError(f"rsa_bits must be at least {MIN_RSA_BITS}")
 
@@ -112,14 +116,14 @@ def establish_chain(platform: Platform, chain: Chain) -> Callable[[int, int], Bu
     bus = platform.vrm_bus("bmc")
     if bus is None:
         raise ChainUnavailable("BMC has no route to the VRM segment")
-    address = platform.main_vrm.config.address
+    address = platform.main_vrm.address
 
     if chain in (Chain.LAN_FIRMWARE, Chain.KCS_FIRMWARE):
         if chain is Chain.LAN_FIRMWARE:
             channel = Channel(ChannelKind.LAN)
-            if not platform.config.bmc.credentials:
+            if not bmc.credentials:
                 raise ChainUnavailable("the BMC has no LAN credentials")
-            user, password = next(iter(platform.config.bmc.credentials.items()))
+            user, password = next(iter(bmc.credentials.items()))
             bmc.authenticate(channel, user, password)
         else:
             channel = Channel(ChannelKind.KCS, host_root=True)
@@ -262,7 +266,7 @@ def run_overvolt_attack(
     chain = cfg.chain if cfg else Chain.IPMI_I2C
     write = establish_chain(platform, chain)
     if pulses is None:
-        pulses = platform.fault_model.brick_events_needed
+        pulses = platform.cpu.model.brick_events_needed
     peak = platform.main_vrm.output_mv
     filtered = False
     fired = 0
@@ -304,7 +308,7 @@ def run_power_down_attack(platform: Platform, channel: str = "cpu") -> PowerDown
     bus = platform.vrm_bus(channel)
     if bus is None:
         raise ChannelBlocked(f"{channel} has no route to the VRM bus")
-    address = platform.main_vrm.config.address
+    address = platform.main_vrm.address
 
     if channel == "bmc":
         send = _ipmi_i2c_writer(platform.bmc, bus, address)

@@ -4,7 +4,9 @@ Supply voltage drives three regimes: below the crash threshold the CPU
 halts; between the crash threshold and the fault onset, computations
 suffer random single-bit corruption with a probability that ramps linearly
 toward the crash point; at or above the absolute maximum each excursion is
-a damage event, and enough events brick the part permanently.
+a damage event, and enough events brick the part permanently. An excursion
+lasts until the supply falls below that maximum or the CPU reboots, however
+many times the rail is settled meanwhile.
 
 Faults during CRT-RSA signing can land in the mod-p branch, the mod-q
 branch, or outside the CRT recombination entirely (a flip in the final
@@ -78,10 +80,6 @@ class FaultySignature:
     value: int
     flipped: frozenset[str]  # subset of {"p", "q", "s"}
 
-    @property
-    def single_branch(self) -> bool:
-        return self.flipped in (frozenset({"p"}), frozenset({"q"}))
-
 
 class Cpu:
     def __init__(self, model: FaultModel | None = None, seed: int = 0, nominal_mv: int = 1375):
@@ -90,6 +88,7 @@ class Cpu:
         self.status = CpuStatus.RUNNING
         self.supply_mv = nominal_mv
         self.damage_events = 0
+        self._excursion = False  # within an excursion at or above v_abs_max_mv since boot
         self.rng = random.Random(seed)
 
     def reseed(self, seed: int) -> None:
@@ -101,12 +100,15 @@ class Cpu:
         if self.status is CpuStatus.BRICKED:
             return
         self.supply_mv = mv
-        if mv >= self.model.v_abs_max_mv:
+        if mv < self.model.v_abs_max_mv:
+            self._excursion = False
+            if mv <= self.model.v_crash_mv:
+                self.status = CpuStatus.CRASHED
+        elif not self._excursion:  # a new excursion: one damage event however long it lasts
+            self._excursion = True
             self.damage_events += 1
             if self.damage_events >= self.model.brick_events_needed:
                 self.status = CpuStatus.BRICKED
-        elif mv <= self.model.v_crash_mv:
-            self.status = CpuStatus.CRASHED
 
     def reboot(self) -> None:
         """Power-button cycle: clears a crash or stall, never a brick."""
@@ -114,6 +116,7 @@ class Cpu:
             return
         self.status = CpuStatus.RUNNING
         self.supply_mv = self.nominal_mv
+        self._excursion = False  # a rail still above the maximum starts a new excursion
 
     # -- workloads ---------------------------------------------------------------
 
@@ -153,16 +156,3 @@ class Cpu:
         if not flipped:
             return sig
         return FaultySignature(value=sig, flipped=frozenset(flipped))
-
-    def run_multiply_check(
-        self, iterations: int, operands: tuple[int, int] = (0xAE0000, 0x18)
-    ) -> tuple[int, int] | None:
-        """Repeat a fixed multiply; return (faulty product, iteration) or None."""
-        self._require_running()
-        a, b = operands
-        truth = a * b
-        p_fault = self.model.p_fault(self.supply_mv)
-        for i in range(iterations):
-            if p_fault > 0 and self.rng.random() < p_fault:
-                return self._flip_bit(truth, truth.bit_length()), i
-        return None

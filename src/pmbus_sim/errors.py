@@ -30,10 +30,6 @@ class InterposerPresent(PmbusSimError):
     """The bus already has an interposer installed."""
 
 
-class UnknownJumper(PmbusSimError):
-    """Jumper name not present in the topology."""
-
-
 class CpuUnavailable(PmbusSimError):
     """CPU is not Running (crashed, stalled or bricked)."""
 

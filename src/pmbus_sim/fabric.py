@@ -6,12 +6,12 @@ carries a local-to-physical bus map. Devices sit on physical buses and may
 be gated by jumpers or per-master write permissions. An optional interposer
 per physical bus sees every transaction before delivery and can veto it.
 
-The topology (masters and device placements) is fixed when the fabric is
-built; only jumpers and interposers change afterwards. ``master_transfer``
-resolves each ``(master, local bus, address)`` to its device, write
-permission and interposer once and keeps the route. ``set_jumper`` and
-``insert_interposer`` drop the kept routes, and ``Fabric.jumpers`` is a
-read-only view.
+The wiring (jumpers, masters and device placements) is fixed when the
+fabric is built; a board with other jumper settings is another profile.
+``master_transfer`` resolves each ``(master, local bus, address)`` to its
+device, write permission and interposer once and keeps the route.
+``insert_interposer`` is the only run-time change, and it drops the kept
+routes.
 
 Each delivered transfer appends one transcript line: the transaction's own
 ``Transaction.line``, which it renders once, then for an ACKed read the reply
@@ -23,10 +23,9 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Protocol
 
-from .errors import AddressInUse, ChannelBlocked, InterposerPresent, UnknownJumper
+from .errors import AddressInUse, ChannelBlocked, InterposerPresent
 from .protocol import ADDR_MAX, ADDR_MIN, Transaction
 
 if TYPE_CHECKING:
@@ -109,7 +108,7 @@ class Fabric:
         masters: Iterable[MasterPort],
         devices: Iterable[tuple[DeviceSpec, Device]],
     ):
-        self._jumpers: dict[str, bool] = dict(jumpers)
+        self._jumpers = jumpers
         self._masters: dict[str, MasterPort] = {port.name: port for port in masters}
         self._devices: dict[tuple[int, int], tuple[DeviceSpec, Device]] = {}
         for spec, device in devices:
@@ -121,23 +120,12 @@ class Fabric:
         self.transcript: list[str] = []
         self._routes: dict[tuple[str, int, int], Route] = {}
 
-    @property
-    def jumpers(self) -> Mapping[str, bool]:
-        """Read-only view: ``set_jumper`` is the one way to change a jumper."""
-        return MappingProxyType(self._jumpers)
-
-    # -- run-time changes -----------------------------------------------------
+    # -- the one run-time change ----------------------------------------------
 
     def insert_interposer(self, bus: int, interposer: Interposer) -> None:
         if bus in self._interposers:
             raise InterposerPresent(f"bus {bus}")
         self._interposers[bus] = interposer
-        self._routes.clear()
-
-    def set_jumper(self, name: str, connected: bool) -> None:
-        if name not in self._jumpers:
-            raise UnknownJumper(name)
-        self._jumpers[name] = connected
         self._routes.clear()
 
     # -- routing --------------------------------------------------------------

@@ -27,16 +27,17 @@ class Platform:
     def __init__(self, config: ProfileConfig, seed: int = 0):
         self.config = config
         self.name = config.name
-        devices = [(spec, DummyDevice() if spec.vrm is None else VrmDevice(spec.vrm)) for spec in config.devices]
+        devices = [
+            (spec, DummyDevice() if spec.vrm is None else VrmDevice(spec.vrm, spec.address))
+            for spec in config.devices
+        ]
         self.fabric = Fabric(config.jumpers, config.masters, devices)
         self.vrms: dict[tuple[int, int], VrmDevice] = {
             (spec.bus, spec.address): device for spec, device in devices if spec.vrm is not None
         }
 
         self.main_vrm = next(iter(self.vrms.values()))
-        self.nominal_mv = self.main_vrm.output_mv
-        self.fault_model = config.fault_model
-        self.cpu = Cpu(model=self.fault_model, seed=seed, nominal_mv=self.nominal_mv)
+        self.cpu = Cpu(model=config.fault_model, seed=seed, nominal_mv=self.main_vrm.output_mv)
         # The BMC holds the platform through a weak reference: a strong one
         # would close a reference cycle, and a dropped board, transcript and
         # all, would then wait for the cyclic garbage collector.
@@ -92,7 +93,7 @@ class Platform:
     # -- electrical feedback -------------------------------------------------------
 
     def load_current_a(self, output_mv: int) -> float:
-        return self.config.nominal_load_a * output_mv / max(self.nominal_mv, 1)
+        return self.config.nominal_load_a * output_mv / max(self.cpu.nominal_mv, 1)
 
     def settle(self) -> None:
         vrm, cpu = self.main_vrm, self.cpu
@@ -104,7 +105,7 @@ class Platform:
         if (
             cpu.status is CpuStatus.STALLED
             and not vrm.override_active
-            and supply > self.fault_model.v_crash_mv
+            and supply > cpu.model.v_crash_mv
         ):
             cpu.status = CpuStatus.RUNNING
 

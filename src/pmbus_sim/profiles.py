@@ -46,7 +46,6 @@ _VRM_INTS = {
     "rail_page": (0, 1),
     "temperature_raw": (0, 0xFFFF),
     "ocp_limit_a": (1, 0xFFFF),
-    "page1_vout": (0, 0xFFFF),
 }
 _VRM_KEYS = {"vendor", *_VRM_INTS}
 _BMC_KEYS = {"generation", "credentials"}
@@ -99,11 +98,10 @@ def _parse_master(name: str, spec: dict) -> MasterPort:
 
 
 def _parse_device(d: dict) -> DeviceSpec:
-    address = _int(d["address"], "device address", ADDR_MIN, ADDR_MAX)
     if d.get("kind") == "vrm":
         _checked(d, _DEVICE_KEYS | _VRM_KEYS, "vrm device key")
         ints = {k: _int(d[k], k, *_VRM_INTS[k]) for k in _VRM_INTS if k in d}
-        vrm = VrmConfig(vendor=VrmVendor(d.get("vendor", "mps")), address=address, **ints)
+        vrm = VrmConfig(vendor=VrmVendor(d.get("vendor", "mps")), **ints)
     elif d.get("kind") == "dummy":
         _checked(d, _DEVICE_KEYS, "dummy device key")
         vrm = None
@@ -111,7 +109,7 @@ def _parse_device(d: dict) -> DeviceSpec:
         raise InvalidProfile(f"unknown device kind {d.get('kind')!r}")
     return DeviceSpec(
         bus=_int(d["bus"], "device bus"),
-        address=address,
+        address=_int(d["address"], "device address", ADDR_MIN, ADDR_MAX),
         vrm=vrm,
         requires_jumpers=tuple(d.get("requires_jumpers", ())),
         write_masters=tuple(d["write_masters"]) if "write_masters" in d else None,

@@ -2,8 +2,9 @@
 
 Frames are modeled at transaction granularity: the 9-bit segment ACK
 handshake of the physical bus is handled below this layer, so a frame is
-just the shifted address byte, the command byte and (for writes) the data
-bytes.
+just the shifted address byte, the command byte and the payload bytes.
+``encode_frame`` and ``decode_frame`` are exact inverses, and decoding goes
+through ``ipmi_frame``, the one frame decoder.
 
 A ``Transaction`` is immutable and validated once, when it is built, and
 renders its transcript text (``Transaction.line``) on first use only.
@@ -148,7 +149,7 @@ def ipmi_frame(addr_byte: int, data: bytes) -> Transaction:
     """The validated transaction of an ipmitool-style frame, shared by equal frames.
 
     ``addr_byte`` carries ``(address << 1) | rw`` and ``data`` (the command
-    byte, then any write payload) must not be empty. Callers key the cache on
+    byte, then any payload) must not be empty. Callers key the cache on
     ``bytes``, never on a mutable payload; an invalid frame raises on every
     call, since exceptions are not cached.
     """
@@ -157,21 +158,15 @@ def ipmi_frame(addr_byte: int, data: bytes) -> Transaction:
 
 
 def encode_frame(t: Transaction) -> bytes:
-    """Encode to wire bytes: (addr<<1)|rw, command, then write payload."""
-    first = (t.address << 1) | t.direction.value
-    if t.is_write:
-        return bytes([first, t.command]) + t.payload
-    return bytes([first, t.command])
+    """Encode to wire bytes: (addr<<1)|rw, command, then the payload."""
+    return bytes([(t.address << 1) | t.direction.value, t.command]) + t.payload
 
 
 def decode_frame(data: bytes) -> Transaction:
-    """Inverse of encode_frame."""
+    """Inverse of encode_frame: ``ipmi_frame``, as ``Bmc.ipmi_i2c`` runs it, on a checked frame."""
     if len(data) < 2:
         raise TruncatedFrame(f"frame of {len(data)} byte(s)")
-    address = data[0] >> 1
-    direction = Direction(data[0] & 1)
-    payload = bytes(data[2:]) if direction is Direction.WRITE else b""
-    return Transaction(address, direction, data[1], payload)
+    return ipmi_frame(data[0], bytes(data[1:]))
 
 
 VID_BASE_MV = 300  # voltage of VID 1; VID 0 means the rail is off

@@ -25,6 +25,7 @@ class VrmVendor(enum.Enum):
 
 MPS_PRODUCT_ID = 0x2555
 ISL_DEVICE_ID = 0x49D28100
+PAGE1_VOUT = 0x0001  # static READ_VOUT of the MPS part's secondary rail
 
 # Command sets each vendor profile acknowledges.
 _MPS_COMMANDS = {
@@ -52,20 +53,19 @@ _INTERSIL_COMMANDS = {
 @dataclass(frozen=True)
 class VrmConfig:
     vendor: VrmVendor = VrmVendor.MPS
-    address: int = 0x20
     initial_vid: int = 0xD8
     rail_page: int = 0  # page holding the live rail registers
     temperature_raw: int = 0x0019
     ocp_limit_a: int = 100
-    page1_vout: int = 0x0001  # static reading for the secondary rail (MPS)
     passcode: int | None = None
 
 
 class VrmDevice:
     """Register-file VRM; mutates only on ACKed writes."""
 
-    def __init__(self, config: VrmConfig):
+    def __init__(self, config: VrmConfig, address: int):
         self.config = config
+        self.address = address  # its placement's, echoed by MFR_ADDR_PMBUS
         self.reset()
 
     def reset(self) -> None:
@@ -85,7 +85,7 @@ class VrmDevice:
         if self.vendor is VrmVendor.MPS:
             rail[pm.CMD_MFR_VR_CONFIG] = 0x0000
             rail[pm.CMD_MFR_OCP_TOTAL_SET] = c.ocp_limit_a
-            self.registers[1][pm.CMD_READ_VOUT] = c.page1_vout
+            self.registers[1][pm.CMD_READ_VOUT] = PAGE1_VOUT
         else:
             rail[pm.CMD_ON_OFF_CONFIG] = 0x00
             self.registers[0][pm.CMD_READ_VOUT] = 0x0000
@@ -160,7 +160,7 @@ class VrmDevice:
         elif code == pm.CMD_ISL_DEVICE_ID:
             value = ISL_DEVICE_ID
         elif code == pm.CMD_MFR_ADDR_PMBUS:
-            value = self.config.address
+            value = self.address
         elif code == pm.CMD_READ_VOUT and self.page == self.config.rail_page:
             value = self.active_vid if self.powered else 0
         else:

@@ -27,7 +27,7 @@ from pmbus_sim.protocol import Direction, Transaction
 
 def lan(platform):
     channel = Channel(ChannelKind.LAN)
-    user, password = next(iter(platform.config.bmc.credentials.items()))
+    user, password = next(iter(platform.bmc.credentials.items()))
     return platform.bmc.authenticate(channel, user, password)
 
 

@@ -105,6 +105,10 @@ def test_unknown_master_maps_to_exit_1(capsys, command):
         "max_runs: [1\n",  # YAML syntax error
         "rsa_bits: 1\n",  # below MIN_RSA_BITS: key generation cannot finish
         "rsa_bits: 2\n",
+        "max_runs: 0\n",  # used to report 0 runs and exit 1 without an error line
+        "max_runs: -3\n",
+        "signings_per_level: 0\n",  # used to run without ever signing
+        "signings_per_level: -2\n",
     ],
 )
 def test_malformed_campaign_config_maps_to_exit_1(tmp_path, capsys, config_text):

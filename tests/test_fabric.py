@@ -1,7 +1,5 @@
 """Bus routing, jumper gating, write permissions and scan behavior."""
 
-import importlib.resources
-
 import pytest
 import yaml
 
@@ -16,7 +14,6 @@ from pmbus_sim.errors import (
     ChannelBlocked,
     CpuUnavailable,
     InterposerPresent,
-    UnknownJumper,
 )
 from pmbus_sim.fabric import BusReply, DeviceSpec, DummyDevice, Fabric, MasterPort, ReplyStatus
 from pmbus_sim.protocol import Direction, Transaction
@@ -55,26 +52,18 @@ def test_dummy_devices_ack_probe_but_nack_commands(x11):
     assert not read(x11.fabric, "cpu", 0, 0x37, pm.CMD_READ_TEMPERATURE).ok
 
 
-def test_device_jumpers_gate_the_vrm(x11):
-    fabric = x11.fabric
-    assert read(fabric, "cpu", 1, 0x20, pm.CMD_READ_TEMPERATURE).ok
-    fabric.set_jumper("SMBDAT_VRM", False)
-    assert not read(fabric, "cpu", 1, 0x20, pm.CMD_READ_TEMPERATURE).ok
-    assert 0x20 not in fabric.scan_bus("cpu", 1)
-    fabric.set_jumper("SMBDAT_VRM", True)
-    assert read(fabric, "cpu", 1, 0x20, pm.CMD_READ_TEMPERATURE).ok
+def test_device_jumpers_gate_the_vrm(x11, edited_board):
+    assert read(x11.fabric, "cpu", 1, 0x20, pm.CMD_READ_TEMPERATURE).ok
+    fabric = edited_board("x11ssl-cf", lambda doc: doc["jumpers"].update(SMBDAT_VRM="disconnected")).fabric
+    for master, bus in (("cpu", 1), ("bmc", 2)):
+        assert read(fabric, master, bus, 0x20, pm.CMD_READ_TEMPERATURE).status is ReplyStatus.NACK
+    assert fabric.scan_bus("cpu", 1) == X11_BUS1 - {0x20}
 
 
-def test_master_jumper_gates_whole_port(x11):
-    fabric = x11.fabric
-    assert fabric.scan_bus("pcie", 1) == set()  # JI2C ships disconnected
-    fabric.set_jumper("JI2C", True)
-    assert fabric.scan_bus("pcie", 1) == X11_BUS1
-
-
-def test_unknown_jumper_rejected(x11):
-    with pytest.raises(UnknownJumper):
-        x11.fabric.set_jumper("JPX9", True)
+def test_master_jumper_gates_whole_port(x11, edited_board):
+    assert x11.fabric.scan_bus("pcie", 1) == set()  # JI2C ships disconnected
+    bridged = edited_board("x11ssl-cf", lambda doc: doc["jumpers"].update(JI2C="connected"))
+    assert bridged.fabric.scan_bus("pcie", 1) == X11_BUS1
 
 
 def test_write_master_acl(asrock):
@@ -85,13 +74,8 @@ def test_write_master_acl(asrock):
     assert read(asrock.fabric, "bmc", 2, 0x60, pm.CMD_READ_TEMPERATURE).ok
 
 
-def test_empty_write_master_list_refuses_every_write(tmp_path):
-    builtin = importlib.resources.files("pmbus_sim").joinpath("profiles/e3c246d4i-2t.yaml")
-    doc = yaml.safe_load(builtin.read_text())
-    doc["devices"][-1]["write_masters"] = []
-    path = tmp_path / "board.yaml"
-    path.write_text(yaml.safe_dump(doc))
-    fabric = Platform.from_profile(str(path)).fabric
+def test_empty_write_master_list_refuses_every_write(edited_board):
+    fabric = edited_board("e3c246d4i-2t", lambda doc: doc["devices"][-1].update(write_masters=[])).fabric
     t = Transaction(0x60, Direction.WRITE, pm.CMD_PAGE, b"\x01")
     assert not fabric.master_transfer("cpu", 2, t).ok
     assert not fabric.master_transfer("bmc", 2, t).ok
@@ -141,15 +125,6 @@ def test_unknown_master_raises(x11):
 VOUT_WRITE = Transaction(0x20, Direction.WRITE, pm.CMD_VOUT_COMMAND, b"\xd8\x00")
 
 
-def test_a_jumper_change_reroutes_the_next_write(x11):
-    fabric = x11.fabric
-    assert fabric.master_transfer("bmc", 2, VOUT_WRITE).ok
-    fabric.set_jumper("SMBDAT_VRM", False)
-    assert fabric.master_transfer("bmc", 2, VOUT_WRITE).status is ReplyStatus.NACK
-    fabric.set_jumper("SMBDAT_VRM", True)
-    assert fabric.master_transfer("bmc", 2, VOUT_WRITE).ok
-
-
 def test_an_interposer_inserted_after_a_write_sees_the_next_one(x11):
     """A filter that goes in once the chain has written to the VRM still judges every later write."""
     fabric = x11.fabric
@@ -159,16 +134,8 @@ def test_an_interposer_inserted_after_a_write_sees_the_next_one(x11):
     assert fabric.master_transfer("bmc", 2, VOUT_WRITE).status is ReplyStatus.JAMMED
 
 
-def test_jumpers_change_only_through_set_jumper(x11):
-    with pytest.raises(TypeError):
-        x11.fabric.jumpers["SMBDAT_VRM"] = False
-    with pytest.raises(AttributeError):
-        x11.fabric.jumpers = {"SMBDAT_VRM": False}
-    assert x11.fabric.jumpers["SMBDAT_VRM"] is True
-
-
 def test_missing_device_nacks():
-    vrm = (DeviceSpec(bus=0, address=0x20), VrmDevice(VrmConfig()))
+    vrm = (DeviceSpec(bus=0, address=0x20), VrmDevice(VrmConfig(), 0x20))
     fabric = Fabric({}, [MasterPort("cpu", {0: 0})], [vrm])
     assert fabric.master_transfer("cpu", 0, Transaction(0x20, Direction.READ, pm.CMD_READ_VOUT)).ok
     reply = fabric.master_transfer("cpu", 0, Transaction(0x21, Direction.READ, pm.CMD_READ_VOUT))

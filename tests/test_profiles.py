@@ -1,10 +1,7 @@
 """Profile loading: the schema is closed, the BMC policy follows from its generation, and the
 parsed config is shared read-only between platforms."""
 
-import importlib.resources
-
 import pytest
-import yaml
 
 from pmbus_sim import Platform
 from pmbus_sim import firmware as fw
@@ -33,6 +30,7 @@ def _delete(key):
         _set("vendor_id", 0x1234),  # unknown top-level key
         _set("masters", "bmc", "filtered", True),  # unknown master key
         _set("devices", -1, "base_mv", 250),  # unknown VRM key: the VID base is fixed
+        _set("devices", -1, "page1_vout", 0x0001),  # and so is the secondary rail's reading
         _set("devices", 0, "vendor", "mps"),  # VRM key on a dummy device
         _set("bmc", "i2c_passthrough_filtered", True),  # the retired policy flags
         _set("bmc", "validation_policy", "rsa-signed"),
@@ -53,7 +51,6 @@ def _delete(key):
         _set("devices", -1, "write_masters", ["cpuu"]),  # names no master
         _set("devices", -1, "rail_page", 5),  # no such page
         _set("devices", -1, "temperature_raw", 0x10000),  # wider than its 16-bit register
-        _set("devices", -1, "page1_vout", 0x10000),
         _set("devices", -1, "initial_vid", 3.7),  # a VID is an exact int and a byte
         _set("devices", -1, "initial_vid", True),
         _set("devices", -1, "initial_vid", 0x100),
@@ -77,14 +74,9 @@ def _delete(key):
         _set("bmc", "credentials", {"ADMIN": None}),
     ],
 )
-def test_malformed_profile_is_rejected(tmp_path, mutate):
-    builtin = importlib.resources.files("pmbus_sim").joinpath("profiles/x11ssl-cf.yaml")
-    doc = yaml.safe_load(builtin.read_text())
-    mutate(doc)
-    path = tmp_path / "board.yaml"
-    path.write_text(yaml.safe_dump(doc))
+def test_malformed_profile_is_rejected(edited_board, mutate):
     with pytest.raises(InvalidProfile):
-        Platform.from_profile(str(path))
+        edited_board("x11ssl-cf", mutate)
 
 
 @pytest.mark.parametrize("name", BUILTIN_PROFILES)
@@ -120,28 +112,10 @@ def test_shared_config_is_read_only():
         config.bmc.credentials["ADMIN"] = "guess"
 
 
-def test_jumper_change_stays_on_its_platform():
-    first = Platform.from_profile("x11ssl-cf")
-    second = Platform.from_profile("x11ssl-cf")
-    name, connected = next(iter(first.config.jumpers.items()))
-    first.fabric.set_jumper(name, not connected)
-    assert first.fabric.jumpers[name] is (not connected)
-    assert second.fabric.jumpers[name] is connected
-    assert Platform.from_profile("x11ssl-cf").fabric.jumpers[name] is connected
-    assert first.config.jumpers[name] is connected
-
-
-def test_rewritten_user_profile_is_parsed_again(tmp_path):
-    builtin = importlib.resources.files("pmbus_sim").joinpath("profiles/x11ssl-cf.yaml")
-    doc = yaml.safe_load(builtin.read_text())
-    path = tmp_path / "board.yaml"
-    doc["name"] = "board-a"
-    path.write_text(yaml.safe_dump(doc))
-    assert Platform.from_profile(str(path)).name == "board-a"
-    doc["name"] = "board-b"
-    doc["nominal_load_a"] = 75.0
-    path.write_text(yaml.safe_dump(doc))
-    rebuilt = Platform.from_profile(str(path))
+def test_rewritten_user_profile_is_parsed_again(edited_board):
+    """Both boards are written to the same file, so the second load reads new text."""
+    assert edited_board("x11ssl-cf", lambda doc: doc.update(name="board-a")).name == "board-a"
+    rebuilt = edited_board("x11ssl-cf", lambda doc: doc.update(name="board-b", nominal_load_a=75.0))
     assert (rebuilt.name, rebuilt.config.nominal_load_a) == ("board-b", 75.0)
 
 

@@ -21,16 +21,20 @@ def transactions(draw):
         if draw(st.booleans()):
             payload = draw(st.binary(min_size=desc.data_len, max_size=desc.data_len))
             return Transaction(address, Direction.WRITE, code, payload)
-        return Transaction(address, Direction.READ, code)
+        return Transaction(address, Direction.READ, code, draw(st.binary(max_size=4)))
     code = draw(unknown_commands)
-    direction = draw(st.sampled_from(Direction))
-    payload = draw(st.binary(max_size=4)) if direction is Direction.WRITE else b""
-    return Transaction(address, direction, code, payload)
+    return Transaction(address, draw(st.sampled_from(Direction)), code, draw(st.binary(max_size=4)))
 
 
 @given(transactions())
 def test_frame_roundtrip(t):
     assert decode_frame(encode_frame(t)) == t
+
+
+@given(transactions())
+def test_decode_is_the_bmc_frame_decoder(t):
+    frame = encode_frame(t)
+    assert decode_frame(frame) is pm.ipmi_frame(frame[0], frame[1:])
 
 
 @given(transactions())

@@ -8,22 +8,22 @@ from pmbus_sim.protocol import Direction, Transaction
 from pmbus_sim.vrm import VrmConfig, VrmDevice, VrmVendor
 
 
-def mps(**kwargs):
-    return VrmDevice(VrmConfig(vendor=VrmVendor.MPS, **kwargs))
+def mps(address=0x20, **kwargs):
+    return VrmDevice(VrmConfig(vendor=VrmVendor.MPS, **kwargs), address)
 
 
 def intersil(**kwargs):
-    return VrmDevice(VrmConfig(vendor=VrmVendor.INTERSIL, rail_page=1, initial_vid=0x8C, **kwargs))
+    return VrmDevice(VrmConfig(vendor=VrmVendor.INTERSIL, rail_page=1, initial_vid=0x8C, **kwargs), 0x60)
 
 
 def write(vrm, command, value):
     data_len = pm.command_info(command).data_len
-    t = Transaction(vrm.config.address, Direction.WRITE, command, value.to_bytes(data_len, "little"))
+    t = Transaction(vrm.address, Direction.WRITE, command, value.to_bytes(data_len, "little"))
     return vrm.handle(t)
 
 
 def read(vrm, command):
-    reply = vrm.handle(Transaction(vrm.config.address, Direction.READ, command))
+    reply = vrm.handle(Transaction(vrm.address, Direction.READ, command))
     return int.from_bytes(reply.data, "little") if reply.ok else None
 
 
@@ -125,7 +125,7 @@ def test_reset_restores_configured_state():
     write(vrm, pm.CMD_OPERATION, 0x02)
     write(vrm, pm.CMD_MFR_VR_CONFIG, 0x0108)
     vrm.tick(500)
-    fingerprint = VrmDevice(vrm.config).fingerprint()
+    fingerprint = VrmDevice(vrm.config, vrm.address).fingerprint()
     vrm.reset()
     assert vrm.fingerprint() == fingerprint
     assert vrm.powered and vrm.output_mv == 1375
