@@ -94,11 +94,9 @@ class Bmc:
             return UpgradeResult(False, "Unauthorized")
         try:
             pkg = fw.parse_package(package_bytes, self.firmware_key)
-            report = fw.verify(pkg, self.signing_pubkey)
-            if not all(report.section_crc.values()) or not report.half_crc_ok:
-                return UpgradeResult(False, "BadCrc")
-            if report.signature not in (None, "pass"):
-                return UpgradeResult(False, "BadSignature")
+            failure = fw.verify(pkg, self.signing_pubkey).failure
+            if failure is not None:
+                return UpgradeResult(False, failure)
             root_shell = fw.has_root_shell(pkg, self.firmware_key)
         except FirmwareError as exc:
             return UpgradeResult(False, type(exc).__name__)

@@ -7,6 +7,7 @@ import json
 import random
 import re
 import sys
+from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -48,7 +49,7 @@ def parse_transaction_text(line: str, lineno: int = 1) -> Transaction:
 
 def _load_policy(path: str) -> fg.FilterPolicy:
     try:
-        doc = yaml.safe_load(Path(path).read_text())
+        doc = yaml.safe_load(Path(path).read_bytes())  # bytes: PyYAML reports bad UTF-8
     except yaml.YAMLError as exc:
         raise InvalidPolicy(f"malformed policy: {exc}") from exc
     return fg.policy_from_dict(doc)
@@ -132,11 +133,17 @@ def _cmd_attack_undervolt(args) -> int:
         "runs": [asdict(r) for r in result.runs],
     }
     _write_json(args.out, payload)
+    by_level = Counter(r.glitch_mv for r in result.runs if r.outcome == "faulty")
     print(
-        f"undervolt campaign: {stats['runs']} runs, {stats['faulty']} faulty, "
+        f"undervolt campaign: {stats['runs']} runs, {stats['faulty']} faulty, {stats['crashes']} crashes, "
         f"{stats['recovered']} keys recovered ({stats['recovery_rate']:.0%})",
+        f"simulated wall time: {stats['simulated_minutes']:.0f} min",
+        "faults by glitch level:",
+        sep="\n",
         file=sys.stderr,
     )
+    for level in sorted(by_level, reverse=True):
+        print(f"  {level} mV: {'#' * by_level[level]} ({by_level[level]})", file=sys.stderr)
     return 0 if result.recovered_factor else 1
 
 
@@ -164,83 +171,85 @@ def _cmd_attack_powerdown(args) -> int:
     return 0
 
 
-def _cmd_fw(args) -> int:
+def _fw_package(args) -> tuple[fw.FirmwarePackage, fw.KeyMaterial | None]:
     key = fw.KeyMaterial.load(args.key_file) if args.key_file else None
-    data = Path(args.image).read_bytes()
+    return fw.parse_package(Path(args.image).read_bytes(), key), key
 
-    if args.fw_command == "parse":
-        pkg = fw.parse_package(data, key)
-        payload = {
-            "version": pkg.footer.version,
-            "body_len": pkg.footer.body_len,
-            "table_encrypted": pkg.table_encrypted,
-            "signed": pkg.signature is not None,
-            "sections": [
-                {"name": s.name, "offset": s.offset, "length": s.length, "crc32": f"{s.crc32:08X}"}
-                for s in pkg.sections
-            ],
-        }
-        _write_json(args.out, payload)
-        return 0
 
-    if args.fw_command == "verify":
-        if key is None:
-            print("verify requires --key-file", file=sys.stderr)
-            return 2
-        pkg = fw.parse_package(data, key)
-        pubkey = fw.load_public_key(args.sign_pub) if args.sign_pub else None
-        report = fw.verify(pkg, pubkey)
-        payload = {
-            "sections": report.section_crc,
-            "half_crc": report.half_crc_ok,
-            "signature": report.signature,
-            "ok": report.ok,
-        }
-        _write_json(args.out, payload)
-        return 0 if report.ok else 1
+def _cmd_fw_parse(args) -> int:
+    pkg, _ = _fw_package(args)
+    payload = {
+        "version": pkg.footer.version,
+        "body_len": pkg.footer.body_len,
+        "table_encrypted": pkg.table_encrypted,
+        "signed": pkg.signature is not None,
+        "sections": [
+            {"name": s.name, "offset": s.offset, "length": s.length, "crc32": f"{s.crc32:08X}"}
+            for s in pkg.sections
+        ],
+    }
+    _write_json(args.out, payload)
+    return 0
 
-    if key is None:
-        print(f"{args.fw_command} requires --key-file", file=sys.stderr)
-        return 2
-    pkg = fw.parse_package(data, key)
 
-    if args.fw_command == "unpack":
-        outdir = Path(args.out or "unpacked")
-        # every entry is read and its path checked before anything is written
-        files = {outdir / f"{section.name}.bin": section.data for section in pkg.sections}
-        for section in pkg.sections:
-            if section.name in fw.ARCHIVE_SECTIONS:
-                root = outdir / section.name
-                for name, blob in fw.unpack_archive(section.data, key):
-                    target = root / name
-                    if not target.resolve().is_relative_to(root.resolve()):
-                        raise BadArchive(f"{section.name} entry {name!r} leads outside {root}")
-                    files[target] = blob
-        for target, blob in files.items():
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(blob)
-        print(f"unpacked to {outdir}")
-        return 0
+def _cmd_fw_verify(args) -> int:
+    pkg, _ = _fw_package(args)
+    pubkey = fw.load_public_key(args.sign_pub) if args.sign_pub else None
+    report = fw.verify(pkg, pubkey)
+    payload = {
+        "sections": report.section_crc,
+        "half_crc": report.half_crc_ok,
+        "signature": report.signature,
+        "ok": report.ok,
+    }
+    _write_json(args.out, payload)
+    return 0 if report.ok else 1
 
-    if args.fw_command == "patch-shell":
-        out = args.out or args.image
-        Path(out).write_bytes(fw.enable_root_shell(pkg, key))
-        print(f"patched image written to {out}")
-        return 0
 
-    if args.fw_command == "repack":
-        signer = fw.load_private_key(args.sign_key) if args.sign_key else None
-        out = args.out or args.image
-        Path(out).write_bytes(fw.repack(pkg, key, signer))
-        print(f"repacked image written to {out}")
-        return 0
+def _cmd_fw_unpack(args) -> int:
+    pkg, key = _fw_package(args)
+    outdir = Path(args.out or "unpacked")
+    # every entry is read and its path checked before anything is written
+    files = {outdir / f"{section.name}.bin": section.data for section in pkg.sections}
+    for section in pkg.sections:
+        if section.name in fw.ARCHIVE_SECTIONS:
+            root = outdir / section.name
+            for name, blob in fw.unpack_archive(section.data, key):
+                target = root / name
+                if not target.resolve().is_relative_to(root.resolve()):
+                    raise BadArchive(f"{section.name} entry {name!r} leads outside {root}")
+                files[target] = blob
+    for target, blob in files.items():
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(blob)
+    print(f"unpacked to {outdir}")
+    return 0
 
-    raise AssertionError(args.fw_command)
+
+def _cmd_fw_patch_shell(args) -> int:
+    pkg, key = _fw_package(args)
+    out = args.out or args.image
+    Path(out).write_bytes(fw.enable_root_shell(pkg, key))
+    print(f"patched image written to {out}")
+    return 0
+
+
+def _cmd_fw_repack(args) -> int:
+    pkg, key = _fw_package(args)
+    signer = fw.load_private_key(args.sign_key) if args.sign_key else None
+    out = args.out or args.image
+    Path(out).write_bytes(fw.repack(pkg, key, signer))
+    print(f"repacked image written to {out}")
+    return 0
 
 
 def _cmd_filter_simulate(args) -> int:
     bus_filter = fg.BusFilter(_load_policy(args.policy))
-    for lineno, line in enumerate(Path(args.replay).read_text().splitlines(), start=1):
+    try:
+        lines = Path(args.replay).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidTranscript(f"replay is not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
         if line.strip():
             bus_filter.submit(parse_transaction_text(line, lineno))
     for t, verdict in bus_filter.log:
@@ -297,13 +306,24 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_cmd_attack_powerdown)
 
     p = sub.add_parser("fw", help="firmware package tooling")
-    p.add_argument("fw_command", choices=["parse", "verify", "unpack", "patch-shell", "repack"])
-    p.add_argument("image")
-    p.add_argument("--key-file")
-    p.add_argument("--sign-key", help="PEM private key for signing on repack")
-    p.add_argument("--sign-pub", help="PEM public key; verify checks the signature exactly when it is given")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_fw)
+    fw_sub = p.add_subparsers(dest="fw_command", required=True)
+    # each subcommand takes only the options it reads; argparse refuses the rest
+    sign_pub = ("--sign-pub", "PEM public key; verify checks the signature exactly when it is given")
+    sign_key = ("--sign-key", "PEM private key for signing on repack")
+    for name, func, key_required, extra in (
+        ("parse", _cmd_fw_parse, False, None),
+        ("verify", _cmd_fw_verify, True, sign_pub),
+        ("unpack", _cmd_fw_unpack, True, None),
+        ("patch-shell", _cmd_fw_patch_shell, True, None),
+        ("repack", _cmd_fw_repack, True, sign_key),
+    ):
+        pf = fw_sub.add_parser(name)
+        pf.add_argument("image")
+        pf.add_argument("--key-file", required=key_required)
+        if extra:
+            pf.add_argument(extra[0], help=extra[1])
+        pf.add_argument("--out")
+        pf.set_defaults(func=func)
 
     p = sub.add_parser("filter", help="filter policy tooling")
     p.add_argument("filter_command", choices=["simulate"])

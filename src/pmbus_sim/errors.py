@@ -101,11 +101,12 @@ class UnknownProfile(PmbusSimError):
 
 
 class InvalidProfile(PmbusSimError):
-    """Malformed profile: an unknown key, generation, vendor or device kind, or a bad value."""
+    """Malformed profile: an unknown key, generation, vendor or device kind, a bad value, or a
+    board whose CPU does not boot running with no damage event."""
 
 
 class InvalidPolicy(PmbusSimError):
-    """Malformed filter policy: an unknown mode or verdict, a bad value, or an unsound cap."""
+    """Malformed filter policy: an unknown key, mode or verdict, or a bad value."""
 
 
 class InvalidConfig(PmbusSimError):

@@ -154,11 +154,17 @@ class VerificationReport:
     signature: str | None  # "pass" | "fail" | "absent" | None when not required
 
     @property
+    def failure(self) -> str | None:
+        """The first check that failed: "BadCrc", "BadSignature", or None when every check passed."""
+        if not all(self.section_crc.values()) or not self.half_crc_ok:
+            return "BadCrc"
+        if self.signature not in (None, "pass"):
+            return "BadSignature"
+        return None
+
+    @property
     def ok(self) -> bool:
-        checks = list(self.section_crc.values()) + [self.half_crc_ok]
-        if self.signature is not None:
-            checks.append(self.signature == "pass")
-        return all(checks)
+        return self.failure is None
 
 
 # -- AES helpers ----------------------------------------------------------------

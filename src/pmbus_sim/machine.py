@@ -5,18 +5,23 @@ goes through ``Platform.transfer``; after each write, whatever its reply, it
 re-derives the VRM output, applies the load-dependent over-current check,
 feeds the resulting rail voltage to the CPU, and resolves the stall that a
 CPU-issued override write causes. The bare ``Fabric`` does not settle.
+
+A profile must boot clean: building a platform settles the rail once, as at
+power-on, and raises ``InvalidProfile`` unless the CPU then runs with no
+damage event. The model's own boot states the rule, so the profile parser
+restates no electrical limit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import weakref
-from functools import cached_property
 
 from . import firmware as fw
 from . import protocol as pm
 from .bmc import Bmc
 from .cpu import Cpu, CpuStatus
+from .errors import InvalidProfile
 from .fabric import BusReply, DummyDevice, Fabric
 from .profiles import ProfileConfig, load_profile
 from .protocol import Transaction
@@ -37,6 +42,11 @@ class Platform:
         }
 
         self.main_vrm = next(iter(self.vrms.values()))
+        # stands in for the key recoverable from the vendor's ipmi.so
+        self.firmware_key = fw.KeyMaterial(
+            hashlib.sha256(f"{self.name}:aes-key".encode()).digest()[:16],
+            hashlib.sha256(f"{self.name}:aes-iv".encode()).digest()[:16],
+        )
         self.cpu = Cpu(model=config.fault_model, seed=seed, nominal_mv=self.main_vrm.output_mv)
         # The BMC holds the platform through a weak reference: a strong one
         # would close a reference cycle, and a dropped board, transcript and
@@ -51,19 +61,17 @@ class Platform:
         )
         self.boot_loop = False
         self.settle()
+        if self.cpu.status is not CpuStatus.RUNNING or self.cpu.damage_events:
+            raise InvalidProfile(
+                f"board {self.name!r} does not boot clean: CPU {self.cpu.status.value} "
+                f"with {self.cpu.damage_events} damage event(s)"
+            )
 
     @classmethod
     def from_profile(cls, name: str, seed: int = 0) -> "Platform":
         return cls(load_profile(name), seed=seed)
 
     # -- firmware fixtures -------------------------------------------------------
-
-    @cached_property
-    def firmware_key(self) -> fw.KeyMaterial:
-        # stands in for the key recoverable from the vendor's ipmi.so
-        key = hashlib.sha256(f"{self.name}:aes-key".encode()).digest()[:16]
-        iv = hashlib.sha256(f"{self.name}:aes-iv".encode()).digest()[:16]
-        return fw.KeyMaterial(key, iv)
 
     @property
     def vendor_signing_key(self):

@@ -163,11 +163,12 @@ def _parse(doc: dict) -> ProfileConfig:
 
 
 @functools.lru_cache(maxsize=32)
-def _parse_profile(text: str) -> ProfileConfig:
-    """Profile from YAML text, memoised on the text; an impossible fault model still raises OutOfRange.
+def _parse_profile(text: bytes) -> ProfileConfig:
+    """Profile from a YAML file's bytes, memoised on them; an impossible fault model raises OutOfRange.
 
     A failed parse raises and so is never cached, and a user file edited
-    between loads has new text and is parsed again.
+    between loads has new text and is parsed again. PyYAML decodes the bytes
+    itself, so text that is not UTF-8 is a ``YAMLError`` like any other.
     """
     try:
         return _parse(yaml.safe_load(text))
@@ -179,9 +180,9 @@ def load_profile(name: str) -> ProfileConfig:
     """Built-in profile by name, or any YAML file path."""
     if name in BUILTIN_PROFILES:
         text = (
-            importlib.resources.files("pmbus_sim").joinpath(f"profiles/{name}.yaml").read_text()
+            importlib.resources.files("pmbus_sim").joinpath(f"profiles/{name}.yaml").read_bytes()
         )
         return _parse_profile(text)
     if Path(name).exists():
-        return _parse_profile(Path(name).read_text())
+        return _parse_profile(Path(name).read_bytes())
     raise UnknownProfile(name)

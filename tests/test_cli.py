@@ -68,6 +68,22 @@ def test_undervolt_writes_report(tmp_path, capsys):
         assert doc["recovered_factor"] is None
 
 
+def test_undervolt_summary_goes_to_stderr(capsys):
+    """The campaign's counts and its faults-by-glitch-level histogram, beside the JSON on stdout."""
+    assert main(["attack", "undervolt", "--seed", "42"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["stats"]["recovered"] == 28
+    assert err.splitlines() == [
+        "undervolt campaign: 100 runs, 100 faulty, 0 crashes, 28 keys recovered (28%)",
+        "simulated wall time: 870 min",
+        "faults by glitch level:",
+        f"  840 mV: {'#' * 57} (57)",
+        f"  835 mV: {'#' * 29} (29)",
+        f"  830 mV: {'#' * 13} (13)",
+        "  825 mV: # (1)",
+    ]
+
+
 def test_overvolt_exit_codes(tmp_path):
     assert main(["attack", "overvolt"]) == 0
     policy = tmp_path / "policy.yaml"
@@ -215,7 +231,40 @@ def test_fw_signed_repack_passes_x12_verify(tmp_path, capsys):
 def test_fw_verify_requires_key(tmp_path):
     image = tmp_path / "stock.img"
     image.write_bytes(Platform.from_profile("x11ssl-cf").build_stock_firmware())
-    assert main(["fw", "verify", str(image)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["fw", "verify", str(image)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("parse", "--sign-pub"),
+        ("parse", "--sign-key"),
+        ("verify", "--sign-key"),
+        ("unpack", "--sign-pub"),
+        ("unpack", "--sign-key"),
+        ("patch-shell", "--sign-pub"),
+        ("patch-shell", "--sign-key"),
+        ("repack", "--sign-pub"),
+    ],
+)
+def test_fw_subcommand_refuses_an_option_it_does_not_read(tmp_path, capsys, command, option):
+    """An option a subcommand would ignore, e.g. ``verify --sign-key``, is a usage error, not a pass."""
+    platform = Platform.from_profile("x11ssl-cf")
+    image, keyfile, pem = tmp_path / "stock.img", tmp_path / "key.json", tmp_path / "signer.pem"
+    image.write_bytes(platform.build_stock_firmware())
+    platform.firmware_key.save(keyfile)
+    signer = fw.vendor_signing_key()
+    if option == "--sign-key":
+        fw.save_private_key(signer, pem)
+    else:
+        fw.save_public_key(signer.public_key(), pem)
+    argv = ["fw", command, str(image), "--key-file", str(keyfile), "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, str(pem)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} " in capsys.readouterr().err
 
 
 def test_filter_simulate(tmp_path, capsys):
@@ -290,6 +339,15 @@ def test_malformed_transcript_maps_to_exit_1(tmp_path, capsys, bad_line, reason)
     err = capsys.readouterr().err
     assert err.startswith("error: InvalidTranscript: line 3: ")
     assert reason in err
+
+
+def test_replay_that_is_not_utf8_maps_to_exit_1(tmp_path, capsys):
+    policy = tmp_path / "policy.yaml"
+    policy.write_text("mode: blocklist\n")
+    replay = tmp_path / "replay.txt"
+    replay.write_bytes(b"W 0x20 0x21 [6E 00]\n\xff\n")
+    assert main(["filter", "simulate", "--policy", str(policy), "--replay", str(replay)]) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidTranscript: replay is not UTF-8 text: ")
 
 
 def _pem_files(tmp_path):

@@ -79,6 +79,39 @@ def test_malformed_profile_is_rejected(edited_board, mutate):
         edited_board("x11ssl-cf", mutate)
 
 
+def _main_vrm(key, value):
+    """Set ``key`` on the first VRM, the one that feeds the CPU."""
+
+    def mutate(doc):
+        next(d for d in doc["devices"] if d["kind"] == "vrm")[key] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize("name", BUILTIN_PROFILES)
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _main_vrm("initial_vid", 0),  # the rail is off
+        _main_vrm("initial_vid", 5),  # far below the crash threshold
+        _main_vrm("ocp_limit_a", 5),  # the boot load trips the over-current check
+        _set("nominal_load_a", 128),
+    ],
+)
+def test_a_board_that_boots_crashed_is_refused(edited_board, name, mutate):
+    refusal = rf"board '{name}' does not boot clean: CPU crashed with 0 damage"
+    with pytest.raises(InvalidProfile, match=refusal):
+        edited_board(name, mutate)
+
+
+@pytest.mark.parametrize("name", ["x11ssl-cf", "x12dpi-nt6"])
+def test_a_board_that_boots_above_its_maximum_is_refused(edited_board, name):
+    """Their 1375 mV boot supply is at or above a 1300 mV maximum: one damage event before any write."""
+    refusal = rf"board '{name}' does not boot clean: CPU running with 1 damage"
+    with pytest.raises(InvalidProfile, match=refusal):
+        edited_board(name, _set("fault_model", {"v_abs_max_mv": 1300}))
+
+
 @pytest.mark.parametrize("name", BUILTIN_PROFILES)
 def test_generation_alone_sets_the_bmc_policy(name):
     platform = Platform.from_profile(name)
