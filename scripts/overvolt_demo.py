@@ -3,7 +3,7 @@
 
 Plays the four-write sequence against a bare platform (permanent damage),
 against each single-write ablation (no damage), and against a platform
-protected by a 1520 mV voltage-cap interposer (attack held at nominal).
+protected by a default voltage-cap interposer (attack held at nominal).
 """
 
 import argparse
@@ -12,6 +12,8 @@ from pmbus_sim import Platform
 from pmbus_sim import campaign as camp
 from pmbus_sim import filterguard as fg
 from pmbus_sim import protocol as pm
+
+PROFILE = "x11ssl-cf"
 
 
 def describe(label: str, outcome: camp.OvervoltOutcome) -> None:
@@ -22,28 +24,23 @@ def describe(label: str, outcome: camp.OvervoltOutcome) -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--profile", default="x11ssl-cf")
-    parser.add_argument("--cap-mv", type=int, default=1520)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     print("destruction sequence:")
     for command, value in camp.OVERVOLT_SEQUENCE:
         print(f"  write 0x{command:02X} ({pm.command_info(command).name}) <- 0x{value:04X}")
     print()
 
-    describe("unprotected", camp.run_overvolt_attack(Platform.from_profile(args.profile)))
+    describe("unprotected", camp.run_overvolt_attack(Platform.from_profile(PROFILE)))
 
     for ablate, (command, _) in enumerate(camp.OVERVOLT_SEQUENCE):
-        outcome = camp.run_overvolt_attack(Platform.from_profile(args.profile), ablate=ablate)
+        outcome = camp.run_overvolt_attack(Platform.from_profile(PROFILE), ablate=ablate)
         describe(f"without 0x{command:02X} write", outcome)
 
-    guarded = Platform.from_profile(args.profile)
-    bus = next(iter(guarded.vrms))[0]
-    guarded.fabric.insert_interposer(
-        bus, fg.BusFilter(fg.FilterPolicy(mode=fg.PolicyMode.VOLTAGE_CAP, cap_mv=args.cap_mv))
-    )
-    describe(f"with {args.cap_mv} mV cap", camp.run_overvolt_attack(guarded))
+    guarded = Platform.from_profile(PROFILE)
+    policy = fg.FilterPolicy(mode=fg.PolicyMode.VOLTAGE_CAP)
+    guarded.fabric.insert_interposer(next(iter(guarded.vrms))[0], fg.BusFilter(policy))
+    describe(f"with {policy.cap_mv} mV cap", camp.run_overvolt_attack(guarded))
 
 
 if __name__ == "__main__":

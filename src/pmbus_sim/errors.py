@@ -106,7 +106,8 @@ class InvalidProfile(PmbusSimError):
 
 
 class InvalidPolicy(PmbusSimError):
-    """Malformed filter policy: an unknown key, mode or verdict, or a bad value."""
+    """Malformed filter policy: an unknown key, mode or verdict, a bad value, a key its
+    mode does not read, or a violation verdict that does not veto."""
 
 
 class InvalidConfig(PmbusSimError):

@@ -9,7 +9,7 @@ because once the 10 mV table is switched in a VID means twice the voltage.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import protocol as pm
 from .errors import InvalidPolicy
@@ -37,12 +37,18 @@ class FilterPolicy:
     cap_mv: int = 1520
     violation_verdict: Verdict = Verdict.JAM
 
+    def __post_init__(self):
+        if self.violation_verdict is Verdict.ALLOW:
+            raise ValueError("a violation verdict must veto: block or jam, not allow")
+
 
 ALLOW_ALL = FilterPolicy(mode=PolicyMode.BLOCKLIST, blocked_commands=frozenset())
 
 
 def policy_from_dict(doc: dict) -> FilterPolicy:
-    """Policy from its YAML/JSON form; anything malformed raises ``InvalidPolicy``."""
+    """Policy from its YAML/JSON form: ``mode``, that mode's one key and ``violation_verdict``.
+
+    An absent key takes its ``FilterPolicy`` default; anything else raises ``InvalidPolicy``."""
 
     def code(v) -> int:
         if isinstance(v, str):
@@ -56,22 +62,25 @@ def policy_from_dict(doc: dict) -> FilterPolicy:
             raise ValueError(f"command codes {values!r} are not a list")
         return frozenset(code(v) for v in values)
 
+    def cap(v) -> int:
+        if type(v) is not int:
+            raise ValueError(f"cap_mv {v!r} is not an int")
+        return v
+
     if not isinstance(doc, dict):
         raise InvalidPolicy(f"malformed policy: expected a mapping, got {type(doc).__name__}")
-    unknown = set(doc) - {f.name for f in fields(FilterPolicy)}
-    if unknown:
-        raise InvalidPolicy(f"malformed policy: unknown key(s) {sorted(unknown, key=str)}")
-    cap_mv = doc.get("cap_mv", 1520)
-    if type(cap_mv) is not int:
-        raise InvalidPolicy(f"malformed policy: cap_mv {cap_mv!r} is not an int")
     try:
-        return FilterPolicy(
-            mode=PolicyMode(doc["mode"]),
-            blocked_commands=codes(doc.get("blocked_commands", ())),
-            allowed_commands=codes(doc.get("allowed_commands", ())),
-            cap_mv=cap_mv,
-            violation_verdict=Verdict(doc.get("violation_verdict", "jam")),
-        )
+        mode = PolicyMode(doc["mode"])
+        readers = {  # the one field each mode enforces, and the verdict on a violation
+            PolicyMode.BLOCKLIST: {"blocked_commands": codes},
+            PolicyMode.ALLOWLIST: {"allowed_commands": codes},
+            PolicyMode.VOLTAGE_CAP: {"cap_mv": cap},
+        }[mode] | {"violation_verdict": Verdict}
+        stray = set(doc) - {"mode", *readers}
+        if stray:
+            raise ValueError(f"mode {mode.value!r} does not read {sorted(stray, key=str)}")
+        settings = {k: read(doc[k]) for k, read in readers.items() if k in doc}
+        return FilterPolicy(mode=mode, **settings)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidPolicy(f"malformed policy: {type(exc).__name__}: {exc}") from exc
 
@@ -84,27 +93,19 @@ class BusFilter:
         self.log: list[tuple[Transaction, Verdict]] = []
 
     def evaluate(self, t: Transaction) -> Verdict:
-        if not t.is_write:
-            return Verdict.ALLOW
         policy = self.policy
-        if policy.mode is PolicyMode.BLOCKLIST:
-            if t.command in policy.blocked_commands:
-                return policy.violation_verdict
-            return Verdict.ALLOW
-        if policy.mode is PolicyMode.ALLOWLIST:
-            if t.command not in policy.allowed_commands:
-                return policy.violation_verdict
-            return Verdict.ALLOW
-        # Voltage cap: deep inspection of voltage-relevant writes.
-        if t.command == pm.CMD_MFR_VR_CONFIG and t.payload:
-            value = int.from_bytes(t.payload, "little")
-            if value & pm.VR_CONFIG_VID_STEP_SEL:
-                return policy.violation_verdict
-        if t.command == pm.CMD_VOUT_COMMAND and t.payload:
-            vid = int.from_bytes(t.payload, "little") & 0xFF
-            if CODEC_5MV.voltage(vid) > policy.cap_mv:
-                return policy.violation_verdict
-        return Verdict.ALLOW
+        command = t.command
+        violates = False
+        if t.is_write:
+            if policy.mode is PolicyMode.BLOCKLIST:
+                violates = command in policy.blocked_commands
+            elif policy.mode is PolicyMode.ALLOWLIST:
+                violates = command not in policy.allowed_commands
+            elif command == pm.CMD_MFR_VR_CONFIG:  # voltage cap from here on
+                violates = bool(int.from_bytes(t.payload, "little") & pm.VR_CONFIG_VID_STEP_SEL)
+            elif command == pm.CMD_VOUT_COMMAND and t.payload:
+                violates = CODEC_5MV.voltage(t.payload[0]) > policy.cap_mv
+        return policy.violation_verdict if violates else Verdict.ALLOW
 
     def submit(self, t: Transaction) -> BusReply | None:
         verdict = self.evaluate(t)

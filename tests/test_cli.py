@@ -306,6 +306,10 @@ def test_bad_image_maps_to_exit_1(tmp_path, capsys):
         "mode: blocklist\ntrack_step_sel: \"false\"\n",  # a retired key, whatever its value
         "- mode: blocklist\n",  # not a mapping
         "mode: [blocklist\n",  # YAML syntax error
+        "mode: blocklist\ncap_mv: 1400\n",  # a blocklist enforces no cap
+        "mode: voltage-cap\nblocked_commands: [0xE4]\n",  # a cap blocks no command
+        "mode: allowlist\nblocked_commands: [0x21]\n",  # an allowlist reads only its own list
+        "mode: voltage-cap\nviolation_verdict: allow\n",  # a violation must be vetoed
     ],
 )
 @pytest.mark.parametrize("subcommand", ["filter-simulate", "attack-overvolt"])

@@ -1,5 +1,8 @@
 """Interposer filter policies: verdicts, the voltage cap and transparency."""
 
+import pytest
+import yaml
+
 from pmbus_sim import protocol as pm
 from pmbus_sim.fabric import ReplyStatus
 from pmbus_sim.filterguard import (
@@ -104,7 +107,40 @@ def test_policy_from_yaml_dict():
             "violation_verdict": "block",
         }
     )
-    assert policy.blocked_commands == frozenset({0xE4, 0xEE})
-    assert policy.violation_verdict is Verdict.BLOCK
+    assert policy == FilterPolicy(
+        mode=PolicyMode.BLOCKLIST,
+        blocked_commands=frozenset({0xE4, 0xEE}),
+        allowed_commands=frozenset(),
+        cap_mv=1520,
+        violation_verdict=Verdict.BLOCK,
+    )
     cap = policy_from_dict({"mode": "voltage-cap", "cap_mv": 1400})
-    assert cap.cap_mv == 1400 and cap.mode is PolicyMode.VOLTAGE_CAP
+    assert cap == FilterPolicy(
+        mode=PolicyMode.VOLTAGE_CAP,
+        blocked_commands=frozenset(),
+        allowed_commands=frozenset(),
+        cap_mv=1400,
+        violation_verdict=Verdict.JAM,
+    )
+    # the two documents the CI console step writes; absent keys take the defaults
+    ci_cap = policy_from_dict(yaml.safe_load("mode: voltage-cap\ncap_mv: 1520\n"))
+    assert ci_cap == FilterPolicy(
+        mode=PolicyMode.VOLTAGE_CAP,
+        blocked_commands=frozenset(),
+        allowed_commands=frozenset(),
+        cap_mv=1520,
+        violation_verdict=Verdict.JAM,
+    )
+    ci_blocklist = policy_from_dict(yaml.safe_load("mode: blocklist\nblocked_commands: [0xE4]\n"))
+    assert ci_blocklist == FilterPolicy(
+        mode=PolicyMode.BLOCKLIST,
+        blocked_commands=frozenset({0xE4}),
+        allowed_commands=frozenset(),
+        cap_mv=1520,
+        violation_verdict=Verdict.JAM,
+    )
+
+
+def test_a_violation_verdict_must_veto():
+    with pytest.raises(ValueError, match="must veto"):
+        FilterPolicy(mode=PolicyMode.VOLTAGE_CAP, violation_verdict=Verdict.ALLOW)
