@@ -110,9 +110,11 @@ class Bmc:
     def ipmi_i2c(self, channel: Channel, bus: int, addr_byte: int, payload: bytes) -> BusReply:
         """ipmitool-style passthrough: addr_byte carries (address<<1)|rw.
 
-        ``payload`` is the command byte, then any write data, as ``bytes`` or
-        any sequence of byte values; anything else raises ``InvalidFrame``.
+        ``addr_byte`` is an ``int`` and ``payload``, the command byte then any
+        write data, is ``bytes``; any other type raises ``InvalidFrame``.
         """
+        if type(addr_byte) is not int or type(payload) is not bytes:
+            raise InvalidFrame("a frame is an int address byte and a bytes payload")
         if not self._authorized(channel):
             raise Unauthorized(f"{channel.kind.value} channel")
         if not payload:
@@ -120,11 +122,7 @@ class Bmc:
         address = addr_byte >> 1
         if not addr_byte & 1 and address in self.filtered_addresses:
             raise FilteredByPolicy(f"write to VRM 0x{address:02X}")
-        try:
-            data = bytes(payload)
-        except (TypeError, ValueError) as exc:
-            raise InvalidFrame(f"payload is not a byte sequence: {exc}") from None
-        return self.platform().transfer("bmc", bus, ipmi_frame(addr_byte, data))
+        return self.platform().transfer("bmc", bus, ipmi_frame(addr_byte, payload))
 
     def raw_master(self, bus: int, t: Transaction) -> BusReply:
         """Direct register-level bus mastering; needs code execution on the BMC."""

@@ -4,7 +4,8 @@ The probe order per address: READ_TEMPERATURE as the presence indicator,
 vendor classification via ISL_DEVICE_ID (Intersil) falling back to
 SVID_VENDOR_PRODUCT_ID (MPS), an MFR_ADDR_PMBUS echo check for MPS parts,
 then a page-saving VOUT sweep over pages 0 and 1 with the original page
-restored unconditionally.
+restored unconditionally. A page write the VRM does not ACK is logged as
+refused, and VOUT is read only on the page the VRM is on.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .protocol import ADDR_MAX, ADDR_MIN, CODEC_5MV, Direction, Transaction
 
 PLAUSIBLE_MV = (550, 1520)
 _PAGES = (0, 1)
+_OUTCOME = {True: "success", False: "refused"}  # a page write, by whether it was ACKed
 
 
 @dataclass
@@ -44,10 +46,10 @@ def _read(fabric: Fabric, master: str, bus: int, address: int, command: int):
     return int.from_bytes(reply.data, "little")
 
 
-def _write(fabric: Fabric, master: str, bus: int, address: int, command: int, payload: bytes):
-    return fabric.master_transfer(
-        master, bus, Transaction(address, Direction.WRITE, command, payload)
-    )
+def _write_page(fabric: Fabric, master: str, bus: int, address: int, page: int) -> bool:
+    """True if the device ACKed the PAGE write."""
+    t = Transaction(address, Direction.WRITE, pm.CMD_PAGE, bytes([page]))
+    return fabric.master_transfer(master, bus, t).ok
 
 
 def detect(fabric: Fabric, bus: int, master: str = "cpu") -> DetectionReport:
@@ -87,19 +89,24 @@ def detect(fabric: Fabric, bus: int, master: str = "cpu") -> DetectionReport:
         log(f"Device 0x{address:02X} : {original_page:02X}         READ_PAGE success  # Save the page")
 
         vout_by_page: dict[int, int] = {}
+        current_page = original_page
         for page in _PAGES:
             log("")
             log(f"Page: {page:02X}")
-            _write(fabric, master, bus, address, pm.CMD_PAGE, bytes([page]))
-            log(f"Device 0x{address:02X} : {page:02X}         WRITE_PAGE success")
+            written = _write_page(fabric, master, bus, address, page)
+            log(f"Device 0x{address:02X} : {page:02X}         WRITE_PAGE {_OUTCOME[written]}")
+            if written:
+                current_page = page
+            if current_page != page:  # the VRM stayed on another page
+                continue
             vout = _read(fabric, master, bus, address, pm.CMD_READ_VOUT)
             if vout is not None:
                 vout_by_page[page] = vout
                 log(f"Device 0x{address:02X} : {page:02X}         READ_VOUT success: {vout:04X}")
-        _write(fabric, master, bus, address, pm.CMD_PAGE, bytes([original_page]))
+        restored = _write_page(fabric, master, bus, address, original_page)
         log(
             f"Device 0x{address:02X} : {original_page:02X}         "
-            "WRITE_PAGE success # Restore the page"
+            f"WRITE_PAGE {_OUTCOME[restored]} # Restore the page"
         )
 
         rail_vout = vout_by_page.get(original_page, 0)

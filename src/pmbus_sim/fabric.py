@@ -178,7 +178,7 @@ class Fabric:
             if veto is not None:
                 return veto
         reply = device.handle(t)
-        arrow = "" if is_write or not reply.ok else " -> [" + " ".join(f"{b:02X}" for b in reply.data) + "]"
+        arrow = "" if is_write or not reply.ok else f" -> [{reply.data.hex(' ').upper()}]"
         self.transcript.append(f"{t.line}{arrow} {reply.status.value}")
         return reply
 

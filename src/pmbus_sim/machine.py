@@ -4,7 +4,8 @@ The platform owns the electrical feedback path. Every master's transfer
 goes through ``Platform.transfer``; after each write, whatever its reply, it
 re-derives the VRM output, applies the load-dependent over-current check,
 feeds the resulting rail voltage to the CPU, and resolves the stall that a
-CPU-issued override write causes. The bare ``Fabric`` does not settle.
+CPU-issued write causes when it puts the CPU's own rail into override. The
+bare ``Fabric`` does not settle.
 
 A profile must boot clean: building a platform settles the rail once, as at
 power-on, and raises ``InvalidProfile`` unless the CPU then runs with no
@@ -18,7 +19,6 @@ import hashlib
 import weakref
 
 from . import firmware as fw
-from . import protocol as pm
 from .bmc import Bmc
 from .cpu import Cpu, CpuStatus
 from .errors import InvalidProfile
@@ -121,15 +121,15 @@ class Platform:
 
     def transfer(self, master: str, bus: int, t: Transaction) -> BusReply:
         """One transfer by ``master``; every write ends with one ``settle()``, whatever the reply."""
+        stall_armed = False  # a CPU write that puts the CPU's own rail into override stalls it
         if master == "cpu":
             self.cpu._require_running()
+            stall_armed = not self.main_vrm.override_active
         reply = self.fabric.master_transfer(master, bus, t)
         if not t.is_write:
             return reply
-        if master == "cpu" and reply.ok and t.command == pm.CMD_MFR_VR_CONFIG:
-            vrm = self.vrms.get((self.fabric.physical_bus(master, bus), t.address))
-            if vrm is not None and vrm.override_active:
-                self.cpu.status = CpuStatus.STALLED
+        if stall_armed and self.main_vrm.override_active:
+            self.cpu.status = CpuStatus.STALLED
         self.settle()
         return reply
 

@@ -115,13 +115,14 @@ class Transaction:
     payload: bytes = b""
 
     def __post_init__(self):
+        if type(self.payload) is not bytes:
+            raise InvalidFrame(f"payload must be bytes, not {type(self.payload).__name__}")
         if not ADDR_MIN <= self.address <= ADDR_MAX:
             raise InvalidAddress(f"address 0x{self.address:02X} outside 0x08..0x77")
         if not 0 <= self.command <= 0xFF:
             raise InvalidFrame(f"command 0x{self.command:X} not a byte")
         if len(self.payload) > 4:
             raise InvalidFrame("payload longer than 4 bytes")
-        object.__setattr__(self, "payload", bytes(self.payload))
         desc = command_info(self.command)
         if desc is not None and self.direction is Direction.WRITE and self.payload:
             if len(self.payload) != desc.data_len:
@@ -148,10 +149,9 @@ class Transaction:
 def ipmi_frame(addr_byte: int, data: bytes) -> Transaction:
     """The validated transaction of an ipmitool-style frame, shared by equal frames.
 
-    ``addr_byte`` carries ``(address << 1) | rw`` and ``data`` (the command
-    byte, then any payload) must not be empty. Callers key the cache on
-    ``bytes``, never on a mutable payload; an invalid frame raises on every
-    call, since exceptions are not cached.
+    ``addr_byte`` is an ``int`` carrying ``(address << 1) | rw`` and ``data``,
+    the command byte then any payload, is non-empty ``bytes``, as both callers
+    check first. An invalid frame raises on every call: exceptions are not cached.
     """
     direction = Direction.READ if addr_byte & 1 else Direction.WRITE
     return Transaction(addr_byte >> 1, direction, data[0], data[1:])
@@ -164,9 +164,11 @@ def encode_frame(t: Transaction) -> bytes:
 
 def decode_frame(data: bytes) -> Transaction:
     """Inverse of encode_frame: ``ipmi_frame``, as ``Bmc.ipmi_i2c`` runs it, on a checked frame."""
+    if type(data) is not bytes:
+        raise InvalidFrame(f"frame must be bytes, not {type(data).__name__}")
     if len(data) < 2:
         raise TruncatedFrame(f"frame of {len(data)} byte(s)")
-    return ipmi_frame(data[0], bytes(data[1:]))
+    return ipmi_frame(data[0], data[1:])
 
 
 VID_BASE_MV = 300  # voltage of VID 1; VID 0 means the rail is off

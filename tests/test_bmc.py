@@ -183,12 +183,34 @@ def test_ipmi_i2c_refuses_a_frame_the_command_cannot_take(x11, payload):
 
 
 @pytest.mark.parametrize(
-    "payload", [[-1], [pm.CMD_VOUT_COMMAND, 0x100, 0], [pm.CMD_OPERATION, "2"], "ab"]
+    "payload",
+    [
+        [-1],
+        [pm.CMD_VOUT_COMMAND, 0x100, 0],
+        [pm.CMD_OPERATION, "2"],
+        "ab",
+        # each of these used to be coerced by bytes() into a frame nobody sent
+        2,  # a PAGE write of 00
+        range(0x21, 0x24),
+        {0x00: 1},
+        {0x21},
+        bytearray(b"\x21\x6e\x00"),
+        [0x21, 0x6E, 0x00],
+    ],
 )
 def test_ipmi_i2c_refuses_a_payload_of_non_bytes(x11, payload):
+    before = x11.fabric.state_fingerprint()
     with pytest.raises(InvalidFrame):
         x11.bmc.ipmi_i2c(kcs(), 2, 0x20 << 1, payload)
-    assert x11.fabric.transcript == []
+    assert x11.fabric.transcript == [] and x11.fabric.state_fingerprint() == before
+
+
+@pytest.mark.parametrize("addr_byte", [64.0, "@", True])
+def test_ipmi_i2c_refuses_an_address_byte_of_non_int(x11, addr_byte):
+    before = x11.fabric.state_fingerprint()
+    with pytest.raises(InvalidFrame):
+        x11.bmc.ipmi_i2c(kcs(), 2, addr_byte, bytes([pm.CMD_VOUT_COMMAND, 0x6E, 0x00]))
+    assert x11.fabric.transcript == [] and x11.fabric.state_fingerprint() == before
 
 
 def test_ipmi_i2c_write_reaches_vrm(x11):

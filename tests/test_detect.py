@@ -51,3 +51,17 @@ def test_detect_restores_original_page(asrock):
     original = vrm.page
     detect(asrock.fabric, 2, master="cpu")
     assert vrm.page == original
+
+
+def test_refused_page_writes_are_reported_and_read_no_other_page(asrock):
+    """The BMC may not write the Intersil VRM: each page write says so, and a
+    reading is kept only for the page the VRM was on when it was taken."""
+    vrm = asrock.vrms[(2, 0x60)]
+    by_cpu = detect(asrock.fabric, 2, master="cpu").candidates[0].vout_by_page
+    before = len(asrock.fabric.transcript)
+    report = detect(asrock.fabric, 2, master="bmc")
+    text = render_report(report)
+    assert "WRITE_PAGE success" not in text
+    assert text.count("WRITE_PAGE refused") == 3  # pages 0 and 1, then the restore
+    assert not any(line.startswith("W ") for line in asrock.fabric.transcript[before:])
+    assert report.candidates[0].vout_by_page == {vrm.page: by_cpu[vrm.page]}

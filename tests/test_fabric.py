@@ -150,21 +150,35 @@ def test_route_helpers_invert_each_other(x11):
     assert fabric.local_bus("pcie", 1) == 1  # the inversion ignores jumpers
 
 
-def override_writes(platform):
-    """The undervolt campaign's switch into fix mode at the present VID, as VRM writes to 0x20."""
+CAMPAIGN_ORDER = (pm.CMD_VOUT_COMMAND, pm.CMD_OPERATION, pm.CMD_MFR_VR_CONFIG)
+OPERATION_LAST = (pm.CMD_VOUT_COMMAND, pm.CMD_MFR_VR_CONFIG, pm.CMD_OPERATION)
+
+
+def override_writes(platform, order=CAMPAIGN_ORDER):
+    """A switch into fix mode at the present VID, as VRM writes to 0x20; by default in the
+    undervolt campaign's order."""
+    values = {
+        pm.CMD_VOUT_COMMAND: platform.main_vrm.svid_vid,
+        pm.CMD_OPERATION: pm.OPERATION_PMBUS_OVERRIDE,
+        pm.CMD_MFR_VR_CONFIG: pm.VR_CONFIG_FIX_MODE,
+    }
     return [
-        Transaction(0x20, Direction.WRITE, command, pm.encode_value(command, value))
-        for command, value in (
-            (pm.CMD_VOUT_COMMAND, platform.main_vrm.svid_vid),
-            (pm.CMD_OPERATION, pm.OPERATION_PMBUS_OVERRIDE),
-            (pm.CMD_MFR_VR_CONFIG, pm.VR_CONFIG_FIX_MODE),
-        )
+        Transaction(0x20, Direction.WRITE, command, pm.encode_value(command, values[command]))
+        for command in order
     ]
 
 
-@pytest.mark.parametrize("bus", [0, 1])
-def test_cpu_override_write_stalls_on_any_bus(tmp_path, bus):
-    """A CPU-issued override sequence stalls the CPU wherever its VRM sits, bus 0 included."""
+@pytest.mark.parametrize(
+    "bus, order",
+    [
+        pytest.param(0, CAMPAIGN_ORDER, id="0"),
+        pytest.param(1, CAMPAIGN_ORDER, id="1"),
+        pytest.param(1, OPERATION_LAST, id="1-operation-last"),
+    ],
+)
+def test_cpu_override_write_stalls_on_any_bus(tmp_path, bus, order):
+    """A CPU-issued override sequence stalls the CPU wherever its VRM sits, bus 0 included,
+    and whichever write completes the override."""
     doc = {
         "name": f"one-vrm-bus{bus}",
         "masters": {"cpu": {"buses": {bus: bus}}, "bmc": {"buses": {2: bus}}},
@@ -174,7 +188,7 @@ def test_cpu_override_write_stalls_on_any_bus(tmp_path, bus):
     path = tmp_path / "board.yaml"
     path.write_text(yaml.safe_dump(doc))
     platform = Platform.from_profile(str(path))
-    for t in override_writes(platform):
+    for t in override_writes(platform, order):
         assert platform.transfer("cpu", bus, t).ok
     assert platform.cpu.status is CpuStatus.STALLED
 

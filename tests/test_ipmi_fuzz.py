@@ -1,12 +1,14 @@
 """Arbitrary IPMI I2C passthrough frames fail only with the simulator's own errors.
 
-``Bmc.ipmi_i2c`` takes any address byte and any payload, given as ``bytes``,
-``bytearray`` or a list of byte values, on any bus number. It may raise
-``PmbusSimError`` and nothing else, and a frame it delivers appends exactly
-one transcript line, in the ipmitool-style form written out here from the
-inputs alone: ``R|W 0xAA 0xCC [DATA]``, then ``-> [REPLY]`` for an ACKed read,
-then the reply status. Frames repeat within an example, so later ones come
-from the shared frame cache.
+``Bmc.ipmi_i2c`` takes a frame in one form: an ``int`` address byte and a
+``bytes`` payload, on any bus number. The fuzz also draws the payload as a
+``bytearray`` or a list of byte values, and those raise ``InvalidFrame``
+and write no line. It may raise ``PmbusSimError`` and nothing else, and a
+frame it delivers appends exactly one transcript line, in the
+ipmitool-style form written out here from the inputs alone:
+``R|W 0xAA 0xCC [DATA]``, then ``-> [REPLY]`` for an ACKed read, then the
+reply status. Frames repeat within an example, so later ones come from the
+shared frame cache.
 """
 
 from hypothesis import example, given, strategies as st
@@ -14,7 +16,7 @@ from hypothesis import example, given, strategies as st
 from pmbus_sim import Platform
 from pmbus_sim import protocol as pm
 from pmbus_sim.bmc import Channel, ChannelKind
-from pmbus_sim.errors import PmbusSimError
+from pmbus_sim.errors import InvalidFrame, PmbusSimError
 
 BOARDS = ("x11ssl-cf", "e3c246d4i-2t", "x12dpi-nt6")  # MPS, Intersil, filtered X12
 VRM_ADDR_BYTES = tuple((a << 1) | rw for a in (0x20, 0x30, 0x34, 0x60) for rw in (0, 1))
@@ -59,7 +61,7 @@ def expected_line(addr_byte: int, payload, reply) -> str:
     authorized=st.booleans(),
     sent=st.lists(frames, min_size=1, max_size=4).map(lambda fs: fs + fs),
 )
-@example(name="x11ssl-cf", authorized=True, sent=[(2, (0x20 << 1) | 1, [pm.CMD_READ_VOUT])] * 2)
+@example(name="x11ssl-cf", authorized=True, sent=[(2, (0x20 << 1) | 1, bytes([pm.CMD_READ_VOUT]))] * 2)
 def test_ipmi_i2c_raises_only_simulator_errors(name, authorized, sent):
     platform = Platform.from_profile(name)
     channel = Channel(ChannelKind.KCS, host_root=authorized)
@@ -68,9 +70,11 @@ def test_ipmi_i2c_raises_only_simulator_errors(name, authorized, sent):
         before = len(transcript)
         try:
             reply = platform.bmc.ipmi_i2c(channel, bus, addr_byte, payload)
-        except PmbusSimError:
+        except PmbusSimError as exc:
             assert len(transcript) == before
+            assert type(payload) is bytes or isinstance(exc, InvalidFrame)
             continue
+        assert type(payload) is bytes
         if len(transcript) > before:
             assert transcript[before:] == [expected_line(addr_byte, payload, reply)]
         else:  # unrouted, unwritable or vetoed

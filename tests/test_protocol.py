@@ -69,6 +69,18 @@ def test_write_payload_length_checked():
             Transaction(0x20, Direction.WRITE, command, payload)
 
 
+@pytest.mark.parametrize("payload", [2, "ab", [0x6E, 0], {2}, bytearray(b"\x6e\x00")])
+def test_transaction_payload_is_bytes_only(payload):
+    with pytest.raises(InvalidFrame):
+        Transaction(0x20, Direction.WRITE, pm.CMD_VOUT_COMMAND, payload)
+
+
+@pytest.mark.parametrize("data", [5, "@!", [0x40, 0x01, 0x02], bytearray(b"\x40\x01\x02")])
+def test_decode_frame_takes_bytes_only(data):
+    with pytest.raises(InvalidFrame):
+        decode_frame(data)
+
+
 def test_transaction_text_form():
     t = Transaction(0x20, Direction.WRITE, 0x21, b"\x6e\x00")
     assert t.text() == "W 0x20 0x21 [6E 00]"
