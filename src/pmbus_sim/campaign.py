@@ -119,6 +119,11 @@ def establish_chain(platform: Platform, chain: Chain) -> Callable[[int, int], Bu
     address = platform.main_vrm.address
 
     if chain in (Chain.LAN_FIRMWARE, Chain.KCS_FIRMWARE):
+        # A root shell masters the bus as the BMC, so a VRM the BMC may not
+        # write is refused before any login or upgrade changes the board.
+        device, writable, _ = platform.fabric.route("bmc", bus, address)
+        if device is None or not writable:
+            raise ChainUnavailable(f"the BMC cannot write the VRM at 0x{address:02X}")
         if chain is Chain.LAN_FIRMWARE:
             channel = Channel(ChannelKind.LAN)
             if not bmc.credentials:
@@ -186,6 +191,18 @@ def run_undervolt_campaign(
     )
     restore_writes = ((pm.CMD_MFR_VR_CONFIG, 0x0000), (pm.CMD_OPERATION, 0x0000))
 
+    def require_ack(command: int, value: int) -> None:
+        # A write the VRM did not take would leave the run on a rail nobody
+        # set: restore what can be restored and stop the campaign.
+        reply = write(command, value)
+        if not reply.ok:
+            for restore in restore_writes:
+                write(*restore)
+            name = pm.command_info(command).name
+            raise ChainUnavailable(
+                f"the VRM did not take {name} (0x{command:02X}): {reply.status.value}"
+            )
+
     runs: list[RunRecord] = []
     recovered_factor: int | None = None
     clock = 0.0
@@ -193,10 +210,10 @@ def run_undervolt_campaign(
     for index in range(cfg.max_runs):
         record = RunRecord(index=index, outcome="correct", glitch_mv=None, trace=[])
         for command, value in override_writes:
-            write(command, value)
+            require_ack(command, value)
         for level, vid in ladder:
+            require_ack(pm.CMD_VOUT_COMMAND, vid)
             record.trace.append(level)
-            write(pm.CMD_VOUT_COMMAND, vid)
             clock += LEVEL_CHANGE_COST_S
             if cpu.status is not CpuStatus.RUNNING:
                 record.outcome = "crash"

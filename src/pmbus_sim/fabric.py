@@ -150,7 +150,8 @@ class Fabric:
                 return local
         return None
 
-    def _route(self, master: str, bus: int, address: int) -> Route:
+    def route(self, master: str, bus: int, address: int) -> Route:
+        """Resolve ``master``'s local ``bus`` and ``address`` to a ``Route``; sends nothing."""
         phys = self.physical_bus(master, bus)
         if phys is None:
             return _UNREACHABLE
@@ -168,7 +169,7 @@ class Fabric:
         key = (master, bus, t.address)
         route = self._routes.get(key)
         if route is None:
-            route = self._routes[key] = self._route(master, bus, t.address)
+            route = self._routes[key] = self.route(master, bus, t.address)
         device, writable, interposer = route
         is_write = t.is_write
         if device is None or (is_write and not writable):
@@ -187,7 +188,7 @@ class Fabric:
         return {
             address
             for address in range(ADDR_MIN, ADDR_MAX + 1)
-            if self._route(master, bus, address)[0] is not None
+            if self.route(master, bus, address)[0] is not None
         }
 
     def state_fingerprint(self) -> tuple:

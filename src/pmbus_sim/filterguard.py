@@ -42,9 +42,6 @@ class FilterPolicy:
             raise ValueError("a violation verdict must veto: block or jam, not allow")
 
 
-ALLOW_ALL = FilterPolicy(mode=PolicyMode.BLOCKLIST, blocked_commands=frozenset())
-
-
 def policy_from_dict(doc: dict) -> FilterPolicy:
     """Policy from its YAML/JSON form: ``mode``, that mode's one key and ``violation_verdict``.
 

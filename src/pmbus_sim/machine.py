@@ -60,6 +60,7 @@ class Platform:
             filtered_addresses=frozenset(addr for _, addr in self.vrms) if x12 else frozenset(),
         )
         self.boot_loop = False
+        self._stock_firmware: bytes | None = None  # built on the first build_stock_firmware()
         self.settle()
         if self.cpu.status is not CpuStatus.RUNNING or self.cpu.damage_events:
             raise InvalidProfile(
@@ -89,14 +90,23 @@ class Platform:
         ]
 
     def build_stock_firmware(self) -> bytes:
-        contents = {
-            "nvram": hashlib.sha256(f"{self.name}:nvram".encode()).digest() * 8,
-            "rootfs": self.stock_rootfs_entries(),
-            "kernel": hashlib.sha256(f"{self.name}:kernel".encode()).digest() * 32,
-            "webfs": [("index.html", b"<html>BMC</html>")],
-        }
-        signer = self.vendor_signing_key if self.bmc.signing_pubkey is not None else None
-        return fw.build_package(contents, self.firmware_key, signer=signer)
+        """The board's stock image: built on first use, then the same ``bytes`` on every call.
+
+        The image depends only on facts fixed when the board is built (its
+        name, its firmware key and whether its BMC checks signatures), so one
+        build serves the board for good; ``bytes`` cannot be changed in place,
+        and a caller that tampers with the image works on a copy.
+        """
+        if self._stock_firmware is None:
+            contents = {
+                "nvram": hashlib.sha256(f"{self.name}:nvram".encode()).digest() * 8,
+                "rootfs": self.stock_rootfs_entries(),
+                "kernel": hashlib.sha256(f"{self.name}:kernel".encode()).digest() * 32,
+                "webfs": [("index.html", b"<html>BMC</html>")],
+            }
+            signer = self.vendor_signing_key if self.bmc.signing_pubkey is not None else None
+            self._stock_firmware = fw.build_package(contents, self.firmware_key, signer=signer)
+        return self._stock_firmware
 
     # -- electrical feedback -------------------------------------------------------
 

@@ -190,7 +190,7 @@ def test_criterion_07_countermeasure_efficacy():
 
     bare = Platform.from_profile("x11ssl-cf", seed=0)
     transparent = Platform.from_profile("x11ssl-cf", seed=0)
-    transparent.fabric.insert_interposer(1, fg.BusFilter(fg.ALLOW_ALL))
+    transparent.fabric.insert_interposer(1, fg.BusFilter(fg.FilterPolicy(mode=fg.PolicyMode.BLOCKLIST)))
     probes = [
         Transaction(0x20, Direction.READ, code)
         for code in (pm.CMD_PAGE, pm.CMD_READ_VOUT, pm.CMD_READ_TEMPERATURE, pm.CMD_SVID_VENDOR_PRODUCT_ID)

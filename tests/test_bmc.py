@@ -10,11 +10,13 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric import rsa
 
 from pmbus_sim import Platform
+from pmbus_sim import campaign as camp
 from pmbus_sim import firmware as fw
 from pmbus_sim import protocol as pm
 from pmbus_sim.bmc import Channel, ChannelKind
 from pmbus_sim.errors import (
     AuthFailure,
+    ChainUnavailable,
     FilteredByPolicy,
     InvalidFrame,
     NoRootShell,
@@ -142,6 +144,48 @@ def test_x12_boards_trust_one_vendor_key(x12):
         pkg = fw.parse_package(image, verifier.firmware_key)
         assert fw.verify(pkg, verifier.bmc.signing_pubkey).signature == "pass"
     assert other.bmc.upgrade_firmware(kcs(), image).accepted
+
+
+@pytest.fixture
+def package_builds(monkeypatch):
+    """Counts every ``fw.build_package`` call."""
+    calls = []
+    build = fw.build_package
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(fw, "build_package", counting)
+    return calls
+
+
+def test_a_board_builds_its_stock_image_once(x12, package_builds):
+    image = x12.build_stock_firmware()
+    assert x12.build_stock_firmware() is image
+    for chain in (camp.Chain.LAN_FIRMWARE, camp.Chain.KCS_FIRMWARE):
+        with pytest.raises(ChainUnavailable, match="BadSignature"):
+            camp.establish_chain(x12, chain)
+    assert len(package_builds) == 1
+    assert x12.build_stock_firmware() is image
+
+
+@pytest.mark.parametrize("profile", ["x11ssl-cf", "x12dpi-nt6"])
+def test_each_board_builds_its_own_equal_stock_image(package_builds, profile):
+    first = Platform.from_profile(profile, seed=0)
+    second = Platform.from_profile(profile, seed=1)
+    assert package_builds == []  # building a board builds no image
+    assert first.build_stock_firmware() == second.build_stock_firmware()
+    assert len(package_builds) == 2
+
+
+def test_a_tampered_copy_leaves_the_stock_image_unchanged(x11):
+    tampered = bytearray(x11.build_stock_firmware())
+    tampered[len(tampered) // 2] ^= 0x01
+    assert x11.bmc.upgrade_firmware(kcs(), bytes(tampered)).reason == "BadCrc"
+    image = x11.build_stock_firmware()
+    assert image == Platform.from_profile("x11ssl-cf", seed=0).build_stock_firmware()
+    assert x11.bmc.upgrade_firmware(kcs(), image).accepted
 
 
 def test_x12_refuses_an_image_signed_by_another_key(x12):

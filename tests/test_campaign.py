@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from pmbus_sim import Platform
 from pmbus_sim import campaign as camp
+from pmbus_sim import filterguard as fg
 from pmbus_sim import protocol as pm
 from pmbus_sim.cpu import CpuStatus
 from pmbus_sim.crypto import CrtRsaKey
 from pmbus_sim.errors import BrickedPlatform, ChainUnavailable, ChannelBlocked, WrongProfile
+from pmbus_sim.fabric import JAMMED_REPLY
 
 
 def short_cfg(seed, chain=camp.Chain.IPMI_I2C, runs=8):
@@ -68,6 +70,52 @@ def test_every_chain_blocked_on_x12(chain):
     platform = Platform.from_profile("x12dpi-nt6", seed=1)
     with pytest.raises(ChainUnavailable):
         camp.establish_chain(platform, chain)
+
+
+@pytest.mark.parametrize("chain", [camp.Chain.LAN_FIRMWARE, camp.Chain.KCS_FIRMWARE])
+def test_firmware_chain_refused_before_the_upgrade_when_the_bmc_cannot_write_the_vrm(
+    asrock, small_key, chain
+):
+    """The Intersil VRM takes writes from the CPU only, so a root shell on the BMC could not reach it.
+
+    The campaign used to install the root shell and then make runs whose every VRM write was NACKed."""
+    with pytest.raises(ChainUnavailable, match="cannot write the VRM"):
+        camp.run_undervolt_campaign(asrock, small_key, camp.CampaignConfig(seed=1, chain=chain, max_runs=3))
+    assert asrock.bmc.installed_digest is None and asrock.bmc.root_shell is False
+    assert asrock.fabric.transcript == []
+
+
+class JamLadderVout:
+    """Interposer that jams every VOUT_COMMAND write except the override set-up's nominal VID."""
+
+    def __init__(self, nominal_vid):
+        self.keep = pm.encode_value(pm.CMD_VOUT_COMMAND, nominal_vid)
+
+    def submit(self, t):
+        if t.is_write and t.command == pm.CMD_VOUT_COMMAND and t.payload != self.keep:
+            return JAMMED_REPLY
+        return None
+
+
+@pytest.mark.parametrize("where", ["override", "ladder"])
+def test_a_refused_campaign_write_ends_the_campaign(small_key, where):
+    """A jammed VOUT_COMMAND used to leave the override running the rail on VID 0 (off),
+    reported as a crash at 900 mV on every run."""
+    platform = Platform.from_profile("x11ssl-cf", seed=1)
+    bus, _ = next(iter(platform.vrms))
+    if where == "override":
+        blocked = frozenset({pm.CMD_VOUT_COMMAND})
+        interposer = fg.BusFilter(fg.FilterPolicy(mode=fg.PolicyMode.BLOCKLIST, blocked_commands=blocked))
+    else:
+        interposer = JamLadderVout(platform.main_vrm.svid_vid)
+    platform.fabric.insert_interposer(bus, interposer)
+    with pytest.raises(ChainUnavailable, match=r"VOUT_COMMAND \(0x21\): jammed"):
+        camp.run_undervolt_campaign(platform, small_key, short_cfg(1, runs=2))
+    assert not platform.main_vrm.override_active
+    assert platform.status == "running"
+    ladder_vids = {pm.CODEC_5MV.vid_for(mv) for mv in range(900, 789, -5)}
+    ladder_lines = {f"W 0x20 0x21 [{vid:02X} 00] ack" for vid in ladder_vids}
+    assert not ladder_lines & set(platform.fabric.transcript)
 
 
 def test_chains_are_interchangeable():

@@ -160,6 +160,8 @@ def test_powerdown_error_maps_to_exit_1(capsys, profile, error):
     [
         (lambda doc: doc["masters"]["bmc"].update(buses={0: 0}), "ipmi-i2c"),  # no BMC route to the VRM
         (lambda doc: doc["bmc"].update(credentials={}), "lan-firmware"),  # nothing to log in with
+        # a VRM the BMC may not write is refused before the upgrade installs a root shell
+        (lambda doc: doc["devices"][-1].update(write_masters=["cpu"]), "kcs-firmware"),
     ],
 )
 def test_unavailable_chain_maps_to_exit_1(tmp_path, capsys, mutate, chain):

@@ -6,7 +6,6 @@ import yaml
 from pmbus_sim import protocol as pm
 from pmbus_sim.fabric import ReplyStatus
 from pmbus_sim.filterguard import (
-    ALLOW_ALL,
     BusFilter,
     FilterPolicy,
     PolicyMode,
@@ -87,7 +86,7 @@ def test_blocklist_misses_what_it_does_not_name():
 
 
 def test_allow_all_is_transparent():
-    f = BusFilter(ALLOW_ALL)
+    f = BusFilter(FilterPolicy(mode=PolicyMode.BLOCKLIST))  # blocks no command
     for t in (wr(pm.CMD_MFR_VR_CONFIG, 0x0108), wr(pm.CMD_VOUT_COMMAND, 0x00FF), rd(0x8B)):
         assert f.submit(t) is None
 
