@@ -121,8 +121,8 @@ def establish_chain(platform: Platform, chain: Chain) -> Callable[[int, int], Bu
     if chain in (Chain.LAN_FIRMWARE, Chain.KCS_FIRMWARE):
         # A root shell masters the bus as the BMC, so a VRM the BMC may not
         # write is refused before any login or upgrade changes the board.
-        device, writable, _ = platform.fabric.route("bmc", bus, address)
-        if device is None or not writable:
+        _, writable, _ = platform.fabric.route("bmc", bus, address)
+        if not writable:
             raise ChainUnavailable(f"the BMC cannot write the VRM at 0x{address:02X}")
         if chain is Chain.LAN_FIRMWARE:
             channel = Channel(ChannelKind.LAN)
@@ -193,7 +193,8 @@ def run_undervolt_campaign(
 
     def require_ack(command: int, value: int) -> None:
         # A write the VRM did not take would leave the run on a rail nobody
-        # set: restore what can be restored and stop the campaign.
+        # set, or the rail in override after it: restore what can be
+        # restored and stop the campaign.
         reply = write(command, value)
         if not reply.ok:
             for restore in restore_writes:
@@ -239,7 +240,7 @@ def run_undervolt_campaign(
             if record.outcome == "faulty":
                 break
         for command, value in restore_writes:
-            write(command, value)
+            require_ack(command, value)
         if record.outcome == "crash" or cpu.status is not CpuStatus.RUNNING:
             platform.reboot()
             clock += REBOOT_COST_S

@@ -130,30 +130,17 @@ class Fabric:
 
     # -- routing --------------------------------------------------------------
 
-    def _port(self, master: str) -> MasterPort:
+    def route(self, master: str, bus: int, address: int) -> Route:
+        """The one reachability query: ``master``'s local ``bus`` and ``address`` as a ``Route``.
+
+        An unmapped bus, or an open jumper of the master's port or the device,
+        leaves the device unreachable; an unknown master raises ``ChannelBlocked``.
+        """
         port = self._masters.get(master)
         if port is None:
             raise ChannelBlocked(f"no such master {master!r}")
-        return port
-
-    def physical_bus(self, master: str, bus: int) -> int | None:
-        """Physical bus behind a master's local bus number; None if unrouted or gated."""
-        port = self._port(master)
-        if port.requires_jumper and not self._jumpers.get(port.requires_jumper, False):
-            return None
-        return port.bus_map.get(bus)
-
-    def local_bus(self, master: str, physical: int) -> int | None:
-        """A master's own number for a physical bus (no jumper check); None if unmapped."""
-        for local, mapped in self._port(master).bus_map.items():
-            if mapped == physical:
-                return local
-        return None
-
-    def route(self, master: str, bus: int, address: int) -> Route:
-        """Resolve ``master``'s local ``bus`` and ``address`` to a ``Route``; sends nothing."""
-        phys = self.physical_bus(master, bus)
-        if phys is None:
+        phys = port.bus_map.get(bus)
+        if phys is None or (port.requires_jumper and not self._jumpers.get(port.requires_jumper, False)):
             return _UNREACHABLE
         slot = self._devices.get((phys, address))
         if slot is None:

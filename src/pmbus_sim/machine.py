@@ -21,7 +21,7 @@ import weakref
 from . import firmware as fw
 from .bmc import Bmc
 from .cpu import Cpu, CpuStatus
-from .errors import InvalidProfile
+from .errors import ChannelBlocked, InvalidProfile
 from .fabric import BusReply, DummyDevice, Fabric
 from .profiles import ProfileConfig, load_profile
 from .protocol import Transaction
@@ -144,9 +144,16 @@ class Platform:
         return reply
 
     def vrm_bus(self, master: str) -> int | None:
-        """``master``'s own number for the main VRM's bus; None if it has no route there."""
-        physical, _ = next(iter(self.vrms))
-        return self.fabric.local_bus(master, physical)
+        """``master``'s own number for a bus on which ``Fabric.route`` reaches the main VRM.
+
+        None if it has none, so an open jumper leaves it None as it leaves
+        ``scan_bus`` without the VRM; an unknown master raises ``ChannelBlocked``.
+        """
+        vrm = self.main_vrm
+        buses = next((port.bus_map for port in self.config.masters if port.name == master), None)
+        if buses is None:
+            raise ChannelBlocked(f"no such master {master!r}")
+        return next((bus for bus in buses if self.fabric.route(master, bus, vrm.address)[0] is vrm), None)
 
     # -- power control ----------------------------------------------------------------
 

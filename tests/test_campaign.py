@@ -118,6 +118,49 @@ def test_a_refused_campaign_write_ends_the_campaign(small_key, where):
     assert not ladder_lines & set(platform.fabric.transcript)
 
 
+class JamZeroRestores:
+    """Interposer that jams the campaign's restore writes: MFR_VR_CONFIG and OPERATION set to zero."""
+
+    def submit(self, t):
+        restore = t.command in (pm.CMD_MFR_VR_CONFIG, pm.CMD_OPERATION) and not any(t.payload)
+        return JAMMED_REPLY if t.is_write and restore else None
+
+
+def test_a_refused_restore_write_ends_the_campaign():
+    """The campaign used to report two faulty runs at 840 mV and leave the rail in override.
+
+    A firmware chain, because the IPMI chain's probe writes OPERATION=0 and would be jammed first."""
+    platform = Platform.from_profile("x11ssl-cf", seed=5)
+    bus, _ = next(iter(platform.vrms))
+    platform.fabric.insert_interposer(bus, JamZeroRestores())
+    key = CrtRsaKey.generate(512, random.Random(5))
+    with pytest.raises(ChainUnavailable, match=r"MFR_VR_CONFIG \(0xE4\): jammed"):
+        camp.run_undervolt_campaign(platform, key, short_cfg(5, camp.Chain.KCS_FIRMWARE, runs=2))
+    # the first run's restore ends the campaign: one override set-up reached the VRM
+    assert platform.fabric.transcript.count("W 0x20 0x01 [02] ack") == 1
+    assert platform.main_vrm.override_active  # the jam holds the rail there; the raise says so
+
+
+@pytest.mark.parametrize("chain", list(camp.Chain))
+def test_a_chain_to_a_disconnected_vrm_is_refused_before_it_acts(edited_board, chain):
+    """With the VRM's jumpers open no master reaches it. A firmware chain used to say the BMC
+    cannot write the VRM, and the IPMI chain that its passthrough cannot reach it."""
+    platform = edited_board("x11ssl-cf", lambda doc: doc["jumpers"].update(SMBDAT_VRM="disconnected"))
+    with pytest.raises(ChainUnavailable, match="^BMC has no route to the VRM segment$"):
+        camp.establish_chain(platform, chain)
+    assert platform.bmc.installed_digest is None and platform.bmc.root_shell is False
+    assert platform.fabric.transcript == []
+
+
+def test_power_down_of_a_disconnected_vrm_is_refused_before_it_acts(edited_board):
+    """It used to send the PAGE write and report that the CPU cannot write to the VRM."""
+    platform = edited_board("x11ssl-cf", lambda doc: doc["jumpers"].update(SMBDAT_VRM="disconnected"))
+    with pytest.raises(ChannelBlocked, match="^cpu has no route to the VRM bus$"):
+        camp.run_power_down_attack(platform, channel="cpu")
+    assert platform.bmc.installed_digest is None and platform.bmc.root_shell is False
+    assert platform.fabric.transcript == [] and platform.status == "running"
+
+
 def test_chains_are_interchangeable():
     outcomes = {}
     for chain in camp.Chain:

@@ -143,11 +143,33 @@ def test_missing_device_nacks():
 
 
 def test_route_helpers_invert_each_other(x11):
-    fabric = x11.fabric
-    assert fabric.physical_bus("bmc", 2) == 1 and fabric.local_bus("bmc", 1) == 2
-    assert fabric.local_bus("bmc", 0) is None
-    assert fabric.physical_bus("pcie", 1) is None  # JI2C ships disconnected
-    assert fabric.local_bus("pcie", 1) == 1  # the inversion ignores jumpers
+    """``vrm_bus`` names the local bus on which ``route`` reaches the VRM, and only that one."""
+    fabric, vrm = x11.fabric, x11.main_vrm
+    assert fabric.route("bmc", 2, vrm.address)[0] is vrm and x11.vrm_bus("bmc") == 2
+    assert fabric.route("bmc", 1, vrm.address)[0] is None  # the BMC has no bus 1
+    assert fabric.route("bmc", 2, 0x50)[0] is None  # nor any way to the CPU's bus 0
+    assert fabric.route("pcie", 1, vrm.address)[0] is None  # JI2C ships disconnected
+    assert x11.vrm_bus("pcie") is None  # so pcie has no VRM bus, though its map has one
+
+
+@pytest.mark.parametrize(
+    "name, jumpers",
+    [
+        ("x11ssl-cf", {}),
+        ("x12dpi-nt6", {}),
+        ("e3c246d4i-2t", {}),
+        ("x11ssl-cf", {"SMBDAT_VRM": "disconnected"}),
+        ("x11ssl-cf", {"JI2C": "connected"}),
+    ],
+    ids=["x11ssl-cf", "x12dpi-nt6", "e3c246d4i-2t", "x11-vrm-jumper-open", "x11-ji2c-bridged"],
+)
+def test_vrm_bus_agrees_with_scan_bus(edited_board, name, jumpers):
+    """``vrm_bus`` used to ignore jumpers: on x11ssl-cf it named pcie's bus 1, where a scan finds nothing."""
+    platform = edited_board(name, lambda doc: doc["jumpers"].update(jumpers)) if jumpers else Platform.from_profile(name)
+    address = platform.main_vrm.address
+    for port in platform.config.masters:
+        reaching = [bus for bus in port.bus_map if address in platform.fabric.scan_bus(port.name, bus)]
+        assert platform.vrm_bus(port.name) in (reaching or [None]), port.name
 
 
 CAMPAIGN_ORDER = (pm.CMD_VOUT_COMMAND, pm.CMD_OPERATION, pm.CMD_MFR_VR_CONFIG)
