@@ -211,14 +211,20 @@ def _cmd_fw_unpack(args) -> int:
     outdir = Path(args.out or "unpacked")
     # every entry is read and its path checked before anything is written
     files = {outdir / f"{section.name}.bin": section.data for section in pkg.sections}
+    dirs: set[Path] = set()  # every directory an entry needs, so no entry may be a file there
     for section in pkg.sections:
         if section.name in fw.ARCHIVE_SECTIONS:
             root = outdir / section.name
+            base = root.resolve()
+            dirs.add(base)
             for name, blob in fw.unpack_archive(section.data, key):
-                target = root / name
-                if not target.resolve().is_relative_to(root.resolve()):
+                target = (root / name).resolve()
+                if not target.is_relative_to(base):
                     raise BadArchive(f"{section.name} entry {name!r} leads outside {root}")
+                if target in files or target in dirs or not files.keys().isdisjoint(target.parents):
+                    raise BadArchive(f"{section.name} entry {name!r} clashes with {root} or another entry")
                 files[target] = blob
+                dirs.update(target.parents)
     for target, blob in files.items():
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(blob)
@@ -253,7 +259,7 @@ def _cmd_filter_simulate(args) -> int:
         if line.strip():
             bus_filter.submit(parse_transaction_text(line, lineno))
     for t, verdict in bus_filter.log:
-        print(f"{verdict.value.upper():5s} {t.text()}")
+        print(f"{verdict.value.upper():5s} {t.line}")
     return 0
 
 

@@ -73,7 +73,8 @@ class DecryptFailed(FirmwareError):
 class BadArchive(FirmwareError):
     """Record archive or firmware table that does not parse: a truncated record, a non-UTF-8 name,
     or a table that does not list exactly the four sections; for ``fw unpack``, also an entry
-    name that leads outside its section's directory."""
+    name that leads outside its section's directory, names that directory itself, repeats an
+    earlier entry, or names a file that another entry needs as a directory."""
 
 
 class NoSuchEntry(FirmwareError):

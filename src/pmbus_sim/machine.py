@@ -171,8 +171,7 @@ class Platform:
         self.settle()
 
     def remote_powercycle(self) -> str:
-        self.cpu.reboot()
-        self.settle()
+        self.reboot()
         if self.cpu.status is not CpuStatus.RUNNING:
             self.boot_loop = True
         return self.status

@@ -2,7 +2,6 @@
 
 import importlib.resources
 import json
-from pathlib import Path
 
 import pytest
 import yaml
@@ -14,8 +13,6 @@ from pmbus_sim.cli import main, parse_transaction_text
 from pmbus_sim.errors import InvalidTranscript
 from pmbus_sim.protocol import Direction
 
-GOLDEN = Path(__file__).parent / "golden" / "detect_x11_bus1.txt"
-
 
 def test_parse_transaction_text():
     t = parse_transaction_text("W 0x20 0x21 [6E 00]")
@@ -24,12 +21,6 @@ def test_parse_transaction_text():
     assert r.direction is Direction.READ and r.payload == b""
     with pytest.raises(InvalidTranscript):
         parse_transaction_text("garbage")
-
-
-def test_profiles_list(capsys):
-    assert main(["profiles", "list"]) == 0
-    out = capsys.readouterr().out.split()
-    assert out == ["x11ssl-cf", "x12dpi-nt6", "e3c246d4i-2t"]
 
 
 def test_scan_json(capsys):
@@ -51,52 +42,14 @@ def test_out_writes_the_json_document(tmp_path, capsys, command):
         assert [c["address"] for c in doc["candidates"]] == [0x20]
 
 
-def test_detect_text_matches_golden(capsys):
-    assert main(["detect", "--bus", "1"]) == 0
-    assert capsys.readouterr().out == GOLDEN.read_text()
-
-
-def test_undervolt_writes_report(tmp_path, capsys):
-    out = tmp_path / "campaign.json"
-    code = main(["attack", "undervolt", "--seed", "42", "--out", str(out)])
-    doc = json.loads(out.read_text())
-    assert doc["stats"]["runs"] == 100
-    assert doc["seed"] == 42
-    if code == 0:
-        assert doc["n"] % doc["recovered_factor"] == 0
-    else:
-        assert doc["recovered_factor"] is None
-
-
-def test_undervolt_summary_goes_to_stderr(capsys):
-    """The campaign's counts and its faults-by-glitch-level histogram, beside the JSON on stdout."""
-    assert main(["attack", "undervolt", "--seed", "42"]) == 0
-    out, err = capsys.readouterr()
-    assert json.loads(out)["stats"]["recovered"] == 28
-    assert err.splitlines() == [
-        "undervolt campaign: 100 runs, 100 faulty, 0 crashes, 28 keys recovered (28%)",
-        "simulated wall time: 870 min",
-        "faults by glitch level:",
-        f"  840 mV: {'#' * 57} (57)",
-        f"  835 mV: {'#' * 29} (29)",
-        f"  830 mV: {'#' * 13} (13)",
-        "  825 mV: # (1)",
-    ]
-
-
-def test_overvolt_exit_codes(tmp_path):
-    assert main(["attack", "overvolt"]) == 0
+def test_overvolt_exit_codes(tmp_path, capsys):
+    """A 1520 mV cap filters the sequence and the CPU keeps running; a filtered attack exits 1."""
     policy = tmp_path / "policy.yaml"
     policy.write_text("mode: voltage-cap\ncap_mv: 1520\n")
     assert main(["attack", "overvolt", "--filter-policy", str(policy)]) == 1
-
-
-def test_powerdown_json(capsys):
-    code = main(["attack", "powerdown", "--profile", "e3c246d4i-2t", "--channel", "cpu"])
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["status_after_attack"] == "crashed"
-    assert doc["status_after_physical_cycle"] == "running"
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"peak_mv": 1375, "cpu_status": "running", "pulses": 2, "filtered": True}
+    assert err == "overvolt attack: peak 1375 mV, CPU status: Running\n"
 
 
 @pytest.mark.parametrize("command", ["scan", "detect"])
@@ -141,18 +94,6 @@ def test_campaign_config_overrides_the_defaults(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["stats"]["runs"] == 2
     assert doc["runs"][0]["trace"][:3] == [900, 897, 894]
-
-
-@pytest.mark.parametrize(
-    "profile, error",
-    [
-        ("e3c246d4i-2t", "ChannelBlocked"),  # the Intersil VRM takes writes from the CPU only
-        ("x12dpi-nt6", "ChainUnavailable"),  # the X12 BMC filters IPMI I2C writes to its VRMs
-    ],
-)
-def test_powerdown_error_maps_to_exit_1(capsys, profile, error):
-    assert main(["attack", "powerdown", "--profile", profile, "--channel", "bmc"]) == 1
-    assert f"error: {error}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -275,10 +216,11 @@ def test_filter_simulate(tmp_path, capsys):
     replay = tmp_path / "replay.txt"
     replay.write_text("W 0x20 0x21 [6E 00]\nW 0x20 0xE4 [08 01]\nR 0x20 0x8B []\n")
     assert main(["filter", "simulate", "--policy", str(policy), "--replay", str(replay)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("ALLOW")
-    assert lines[1].startswith("JAM")
-    assert lines[2].startswith("ALLOW")
+    assert capsys.readouterr().out.splitlines() == [
+        "ALLOW W 0x20 0x21 [6E 00]",
+        "JAM   W 0x20 0xE4 [08 01]",
+        "ALLOW R 0x20 0x8B []",
+    ]
 
 
 def test_bad_image_maps_to_exit_1(tmp_path, capsys):
@@ -452,12 +394,26 @@ def test_missing_input_file_maps_to_exit_1(tmp_path, capsys, argv):
     assert err.startswith("error: FileNotFoundError: ") and str(paths["missing"]) in err
 
 
-@pytest.mark.parametrize("entry", ["../../escaped.txt", "../rootfs.bin", "{tmp}/absolute.txt"])
-def test_unpack_refuses_an_entry_outside_its_directory(tmp_path, capsys, entry):
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ["../../escaped.txt"],
+        ["../rootfs.bin"],
+        ["{tmp}/absolute.txt"],
+        # a target may not be the section's directory, repeat, or be a file another entry needs
+        # as a directory: these used to write part of the output, or lose the first "a"
+        [""],
+        ["a", "a"],
+        ["x", "x/y"],
+        ["x/y", "x"],
+    ],
+    ids=lambda entries: ",".join(entries) or "empty",
+)
+def test_unpack_refuses_an_entry_outside_its_directory(tmp_path, capsys, entries):
     key = Platform.from_profile("x11ssl-cf").firmware_key
     contents = {
         "nvram": b"\x00" * 64,
-        "rootfs": [("SMASH/msh", b"\x7fELF"), (entry.format(tmp=tmp_path), b"outside\n")],
+        "rootfs": [("SMASH/msh", b"\x7fELF")] + [(e.format(tmp=tmp_path), b"entry\n") for e in entries],
         "kernel": b"\x00" * 64,
         "webfs": [("index.html", b"<html></html>")],
     }
