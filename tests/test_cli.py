@@ -42,6 +42,34 @@ def test_out_writes_the_json_document(tmp_path, capsys, command):
         assert [c["address"] for c in doc["candidates"]] == [0x20]
 
 
+def test_undervolt_writes_report(tmp_path, capsys):
+    out = tmp_path / "campaign.json"
+    code = main(["attack", "undervolt", "--seed", "42", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["stats"]["runs"] == 100
+    assert doc["seed"] == 42
+    if code == 0:
+        assert doc["n"] % doc["recovered_factor"] == 0
+    else:
+        assert doc["recovered_factor"] is None
+
+
+def test_undervolt_summary_goes_to_stderr(capsys):
+    """The campaign's counts and its faults-by-glitch-level histogram, beside the JSON on stdout."""
+    assert main(["attack", "undervolt", "--seed", "42"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["stats"]["recovered"] == 28
+    assert err.splitlines() == [
+        "undervolt campaign: 100 runs, 100 faulty, 0 crashes, 28 keys recovered (28%)",
+        "simulated wall time: 870 min",
+        "faults by glitch level:",
+        f"  840 mV: {'#' * 57} (57)",
+        f"  835 mV: {'#' * 29} (29)",
+        f"  830 mV: {'#' * 13} (13)",
+        "  825 mV: # (1)",
+    ]
+
+
 def test_overvolt_exit_codes(tmp_path, capsys):
     """A 1520 mV cap filters the sequence and the CPU keeps running; a filtered attack exits 1."""
     policy = tmp_path / "policy.yaml"
