@@ -119,10 +119,10 @@ class Bmc:
             raise Unauthorized(f"{channel.kind.value} channel")
         if not payload:
             raise TruncatedFrame("payload must carry at least the command byte")
-        address = addr_byte >> 1
-        if not addr_byte & 1 and address in self.filtered_addresses:
-            raise FilteredByPolicy(f"write to VRM 0x{address:02X}")
-        return self.platform().transfer("bmc", bus, ipmi_frame(addr_byte, payload))
+        t = ipmi_frame(addr_byte, payload)
+        if t.address in self.filtered_addresses and t.is_write:
+            raise FilteredByPolicy(f"write to VRM 0x{t.address:02X}")
+        return self.platform().transfer("bmc", bus, t)
 
     def raw_master(self, bus: int, t: Transaction) -> BusReply:
         """Direct register-level bus mastering; needs code execution on the BMC."""

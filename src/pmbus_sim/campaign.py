@@ -24,7 +24,6 @@ from .errors import (
     ChainUnavailable,
     ChannelBlocked,
     CpuUnavailable,
-    FilteredByPolicy,
     WrongProfile,
 )
 from .fabric import BusReply, ReplyStatus
@@ -154,15 +153,13 @@ def establish_chain(platform: Platform, chain: Chain) -> Callable[[int, int], Bu
 
 
 def _ipmi_i2c_writer(bmc: Bmc, bus: int, address: int) -> Callable[[int, int], BusReply]:
-    """VRM register writer through the IPMI I2C passthrough; a filtered write raises ``ChainUnavailable``."""
+    """VRM register writer through the IPMI I2C passthrough; a filtered write raises
+    ``FilteredByPolicy`` (a ``ChainUnavailable``)."""
     channel = Channel(ChannelKind.KCS, host_root=True)
 
     def write(command: int, value: int) -> BusReply:
         payload = bytes([command]) + encode_value(command, value)
-        try:
-            return bmc.ipmi_i2c(channel, bus, address << 1, payload)
-        except FilteredByPolicy as exc:
-            raise ChainUnavailable(str(exc))
+        return bmc.ipmi_i2c(channel, bus, address << 1, payload)
 
     return write
 
@@ -292,8 +289,7 @@ def run_overvolt_attack(
         for i, (command, value) in enumerate(OVERVOLT_SEQUENCE):
             if i == ablate:
                 continue
-            reply = write(command, value)
-            if reply.status is not ReplyStatus.ACK:
+            if write(command, value).status is ReplyStatus.JAMMED:  # only an interposer jams
                 filtered = True
             peak = max(peak, platform.main_vrm.output_mv)
         fired += 1
@@ -321,7 +317,8 @@ def run_power_down_attack(platform: Platform, channel: str = "cpu") -> PowerDown
     """Drive the Intersil immediate-off path as ``channel``'s master.
 
     The ``bmc`` channel writes through the IPMI I2C passthrough, so the BMC's
-    policy applies: a filtered VRM raises ``ChainUnavailable`` before any write.
+    policy applies: a filtered VRM raises ``FilteredByPolicy`` (a ``ChainUnavailable``)
+    before any write.
     """
     bus = platform.vrm_bus(channel)
     if bus is None:

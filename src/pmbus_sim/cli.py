@@ -225,6 +225,13 @@ def _cmd_fw_unpack(args) -> int:
                     raise BadArchive(f"{section.name} entry {name!r} clashes with {root} or another entry")
                 files[target] = blob
                 dirs.update(target.parents)
+    # ...and the file system holds no file where a directory goes, nor a directory where a file goes
+    for path in {parent for target in files for parent in target.parents}:
+        if path.exists() and not path.is_dir():
+            raise NotADirectoryError(f"{path} is a file where a directory goes")
+    for target in files:
+        if target.is_dir():
+            raise IsADirectoryError(f"{target} is a directory where a file goes")
     for target, blob in files.items():
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(blob)
@@ -255,11 +262,10 @@ def _cmd_filter_simulate(args) -> int:
         lines = Path(args.replay).read_text().splitlines()
     except UnicodeDecodeError as exc:
         raise InvalidTranscript(f"replay is not UTF-8 text: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            bus_filter.submit(parse_transaction_text(line, lineno))
-    for t, verdict in bus_filter.log:
-        print(f"{verdict.value.upper():5s} {t.line}")
+    # every line parses before any verdict prints
+    replay = [parse_transaction_text(line, n) for n, line in enumerate(lines, start=1) if line.strip()]
+    for t in replay:
+        print(f"{bus_filter.evaluate(t).value.upper():5s} {t.line}")
     return 0
 
 

@@ -42,10 +42,6 @@ class Unauthorized(PmbusSimError):
     """Channel not authorized for the requested BMC operation."""
 
 
-class FilteredByPolicy(PmbusSimError):
-    """BMC-side I2C passthrough filter refused the transfer."""
-
-
 class NoRootShell(PmbusSimError):
     """Raw bus mastering requires a root shell on the BMC."""
 
@@ -85,6 +81,10 @@ class ChainUnavailable(PmbusSimError):
     """No attack chain reaches the VRM on this platform."""
 
 
+class FilteredByPolicy(ChainUnavailable):
+    """BMC-side I2C passthrough filter refused the transfer."""
+
+
 class BrickedPlatform(PmbusSimError):
     """The CPU is permanently destroyed; nothing further can run."""
 
@@ -107,8 +107,8 @@ class InvalidProfile(PmbusSimError):
 
 
 class InvalidPolicy(PmbusSimError):
-    """Malformed filter policy: an unknown key, mode or verdict, a bad value, a key its
-    mode does not read, or a violation verdict that does not veto."""
+    """Malformed filter policy: an unknown key or mode, a bad value, or a key its mode
+    does not read."""
 
 
 class InvalidConfig(PmbusSimError):

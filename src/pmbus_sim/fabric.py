@@ -73,7 +73,7 @@ class Interposer(Protocol):
     """Filter slot contract; see filterguard.BusFilter."""
 
     def submit(self, t: Transaction) -> BusReply | None:
-        """Return a veto reply (Nack/Jammed) or None to let the transfer pass."""
+        """Return a veto reply or None to let the transfer pass."""
         ...
 
 

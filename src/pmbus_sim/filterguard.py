@@ -4,6 +4,8 @@ Three policy modes: a command blocklist, a command allowlist, and a
 voltage cap that deep-inspects VOUT_COMMAND writes against the 5 mV VID
 table. The cap refuses any MFR_VR_CONFIG write that sets VID_STEP_SEL,
 because once the 10 mV table is switched in a VID means twice the voltage.
+A violating write is always jammed: the interposer pulls the bus down
+mid-transfer, so the VRM never sees it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 from . import protocol as pm
 from .errors import InvalidPolicy
-from .fabric import BusReply, JAMMED_REPLY, NACK_REPLY
+from .fabric import BusReply, JAMMED_REPLY
 from .protocol import CODEC_5MV, Transaction
 
 
@@ -25,8 +27,7 @@ class PolicyMode(enum.Enum):
 
 class Verdict(enum.Enum):
     ALLOW = "allow"
-    BLOCK = "block"  # polite Nack at the interposer
-    JAM = "jam"  # mid-transfer bus pull-down
+    JAM = "jam"  # mid-transfer bus pull-down: the one veto
 
 
 @dataclass(frozen=True)
@@ -35,15 +36,10 @@ class FilterPolicy:
     blocked_commands: frozenset[int] = frozenset()
     allowed_commands: frozenset[int] = frozenset()
     cap_mv: int = 1520
-    violation_verdict: Verdict = Verdict.JAM
-
-    def __post_init__(self):
-        if self.violation_verdict is Verdict.ALLOW:
-            raise ValueError("a violation verdict must veto: block or jam, not allow")
 
 
 def policy_from_dict(doc: dict) -> FilterPolicy:
-    """Policy from its YAML/JSON form: ``mode``, that mode's one key and ``violation_verdict``.
+    """Policy from its YAML/JSON form: ``mode`` and that mode's one key.
 
     An absent key takes its ``FilterPolicy`` default; anything else raises ``InvalidPolicy``."""
 
@@ -68,11 +64,11 @@ def policy_from_dict(doc: dict) -> FilterPolicy:
         raise InvalidPolicy(f"malformed policy: expected a mapping, got {type(doc).__name__}")
     try:
         mode = PolicyMode(doc["mode"])
-        readers = {  # the one field each mode enforces, and the verdict on a violation
+        readers = {  # the one field each mode enforces
             PolicyMode.BLOCKLIST: {"blocked_commands": codes},
             PolicyMode.ALLOWLIST: {"allowed_commands": codes},
             PolicyMode.VOLTAGE_CAP: {"cap_mv": cap},
-        }[mode] | {"violation_verdict": Verdict}
+        }[mode]
         stray = set(doc) - {"mode", *readers}
         if stray:
             raise ValueError(f"mode {mode.value!r} does not read {sorted(stray, key=str)}")
@@ -102,13 +98,9 @@ class BusFilter:
                 violates = bool(int.from_bytes(t.payload, "little") & pm.VR_CONFIG_VID_STEP_SEL)
             elif command == pm.CMD_VOUT_COMMAND and t.payload:
                 violates = CODEC_5MV.voltage(t.payload[0]) > policy.cap_mv
-        return policy.violation_verdict if violates else Verdict.ALLOW
+        return Verdict.JAM if violates else Verdict.ALLOW
 
     def submit(self, t: Transaction) -> BusReply | None:
         verdict = self.evaluate(t)
         self.log.append((t, verdict))
-        if verdict is Verdict.ALLOW:
-            return None
-        if verdict is Verdict.BLOCK:
-            return NACK_REPLY
-        return JAMMED_REPLY
+        return None if verdict is Verdict.ALLOW else JAMMED_REPLY

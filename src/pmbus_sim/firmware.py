@@ -307,9 +307,7 @@ def parse_package(data: bytes, key: KeyMaterial | None = None) -> FirmwarePackag
     which must name exactly ``SECTION_ORDER`` in order (else ``BadArchive``)."""
     if len(data) < FOOTER_SIZE:
         raise TruncatedImage(f"{len(data)} bytes")
-    image, signature = _split_signature(data)
-    if len(image) < FOOTER_SIZE:
-        raise TruncatedImage("no room for footer")
+    image, signature = _split_signature(data)  # leaves at least FOOTER_SIZE bytes
     footer = FwFooter.unpack(image[-FOOTER_SIZE:])
     end_of_table = footer.table_off + footer.table_len
     if footer.body_len != footer.table_off or end_of_table > len(image) - FOOTER_SIZE:

@@ -80,15 +80,6 @@ class Platform:
         # that never sign or verify import no `cryptography`
         return fw.vendor_signing_key()
 
-    def stock_rootfs_entries(self) -> list[tuple[str, bytes]]:
-        key = self.firmware_key
-        return [
-            ("SMASH/msh", b"\x7fELF" + hashlib.sha256(b"smash-clp-shell").digest()),
-            ("bin/sh", b"\x7fELF" + hashlib.sha256(b"busybox-sh").digest()),
-            ("lib/ipmi.so", b"\x7fELF" + key.aes_key + key.aes_iv),
-            ("etc/issue", b"ATEN SMASH-CLP System Management Shell\n"),
-        ]
-
     def build_stock_firmware(self) -> bytes:
         """The board's stock image: built on first use, then the same ``bytes`` on every call.
 
@@ -98,14 +89,20 @@ class Platform:
         and a caller that tampers with the image works on a copy.
         """
         if self._stock_firmware is None:
+            key = self.firmware_key
             contents = {
                 "nvram": hashlib.sha256(f"{self.name}:nvram".encode()).digest() * 8,
-                "rootfs": self.stock_rootfs_entries(),
+                "rootfs": [
+                    ("SMASH/msh", b"\x7fELF" + hashlib.sha256(b"smash-clp-shell").digest()),
+                    ("bin/sh", b"\x7fELF" + hashlib.sha256(b"busybox-sh").digest()),
+                    ("lib/ipmi.so", b"\x7fELF" + key.aes_key + key.aes_iv),
+                    ("etc/issue", b"ATEN SMASH-CLP System Management Shell\n"),
+                ],
                 "kernel": hashlib.sha256(f"{self.name}:kernel".encode()).digest() * 32,
                 "webfs": [("index.html", b"<html>BMC</html>")],
             }
             signer = self.vendor_signing_key if self.bmc.signing_pubkey is not None else None
-            self._stock_firmware = fw.build_package(contents, self.firmware_key, signer=signer)
+            self._stock_firmware = fw.build_package(contents, key, signer=signer)
         return self._stock_firmware
 
     # -- electrical feedback -------------------------------------------------------

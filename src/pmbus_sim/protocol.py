@@ -37,7 +37,6 @@ class Origin(enum.Enum):
 
 class Access(enum.Enum):
     READ = "r"
-    WRITE = "w"
     READ_WRITE = "rw"
 
 

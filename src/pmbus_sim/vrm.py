@@ -148,9 +148,7 @@ class VrmDevice:
         return self._write(t.command, t.payload)
 
     def _read(self, code: int) -> BusReply:
-        desc = pm.command_info(code)
-        if desc is None or desc.access is pm.Access.WRITE:
-            return NACK_REPLY
+        desc = pm.command_info(code)  # every command in a vendor set is registered and readable
         if code == pm.CMD_PAGE:
             value = self.page
         elif code == pm.CMD_READ_TEMPERATURE:
@@ -169,9 +167,7 @@ class VrmDevice:
 
     def _write(self, code: int, payload: bytes) -> BusReply:
         desc = pm.command_info(code)
-        if desc is None or desc.access is pm.Access.READ:
-            return NACK_REPLY
-        if len(payload) != desc.data_len:
+        if desc.access is pm.Access.READ or len(payload) != desc.data_len:
             return NACK_REPLY
         value = int.from_bytes(payload, "little")
 
@@ -221,8 +217,3 @@ class VrmDevice:
     def tick(self, load_current_a: float) -> None:
         if self.powered and self.ocp_enabled and load_current_a > self.ocp_limit_a:
             self.powered = False
-
-    def handle_svid_request(self, vid: int) -> None:
-        if not 0 <= vid <= 0xFF:
-            raise ValueError(f"VID {vid:#x} not a byte")
-        self.svid_vid = vid

@@ -24,6 +24,7 @@ from pmbus_sim.errors import (
     TruncatedFrame,
     Unauthorized,
 )
+from pmbus_sim.fabric import ReplyStatus
 from pmbus_sim.protocol import Direction, Transaction
 
 
@@ -262,9 +263,23 @@ def test_ipmi_i2c_write_reaches_vrm(x11):
     assert x11.main_vrm.registers[0][pm.CMD_VOUT_COMMAND] == 0x6E
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [bytes([pm.CMD_READ_VOUT, 0x00, 0x00]), bytes([pm.CMD_VOUT_COMMAND])],
+    ids=["read-only-command", "command-byte-only"],
+)
+def test_vrm_nacks_a_passthrough_write_it_cannot_take(x11, payload):
+    before = x11.fabric.state_fingerprint()
+    assert x11.bmc.ipmi_i2c(kcs(), 2, 0x20 << 1, payload).status is ReplyStatus.NACK
+    assert x11.fabric.state_fingerprint() == before
+
+
 def test_x12_filters_vrm_writes_but_not_reads(x12):
-    with pytest.raises(FilteredByPolicy):
+    with pytest.raises(FilteredByPolicy, match="^write to VRM 0x30$") as refused:
         x12.bmc.ipmi_i2c(kcs(), 2, 0x30 << 1, bytes([pm.CMD_VOUT_COMMAND, 0x6E, 0x00]))
+    assert isinstance(refused.value, ChainUnavailable)  # the refusal keeps its name up the chain
+    with pytest.raises(InvalidFrame):  # a frame is decoded before the filter reads it
+        x12.bmc.ipmi_i2c(kcs(), 2, 0x30 << 1, bytes([pm.CMD_VOUT_COMMAND, 0x6E]))
     assert x12.bmc.ipmi_i2c(kcs(), 2, (0x30 << 1) | 1, bytes([pm.CMD_READ_VOUT])).ok
 
 

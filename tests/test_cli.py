@@ -80,6 +80,25 @@ def test_overvolt_exit_codes(tmp_path, capsys):
     assert err == "overvolt attack: peak 1375 mV, CPU status: Running\n"
 
 
+def test_overvolt_on_a_vrm_that_refuses_it_is_not_filtered(tmp_path, capsys):
+    """Without an interposer nothing is vetoed: the Intersil VRM NACKs the MPS override writes."""
+    builtin = importlib.resources.files("pmbus_sim").joinpath("profiles/e3c246d4i-2t.yaml")
+    doc = yaml.safe_load(builtin.read_text())
+    del doc["devices"][1]["write_masters"]
+    profile = tmp_path / "board.yaml"
+    profile.write_text(yaml.safe_dump(doc))
+    assert main(["attack", "overvolt", "--profile", str(profile)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"peak_mv": 995, "cpu_status": "running", "pulses": 2, "filtered": False}
+    assert err == "overvolt attack: peak 995 mV, CPU status: Running\n"
+
+
+def test_unknown_profile_maps_to_exit_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # nor is there a file of that name
+    assert main(["scan", "--profile", "nosuch", "--bus", "1"]) == 1
+    assert capsys.readouterr().err == "error: UnknownProfile: nosuch\n"
+
+
 @pytest.mark.parametrize("command", ["scan", "detect"])
 def test_unknown_master_maps_to_exit_1(capsys, command):
     assert main([command, "--bus", "1", "--master", "bogus"]) == 1
@@ -272,7 +291,7 @@ def test_bad_image_maps_to_exit_1(tmp_path, capsys):
         "mode: blocklist\nblocked_commands: \"12\"\n",  # a string, not a list of codes
         "mode: blocklist\nblocked_commands: [.inf]\n",
         "mode: blocklist\nblocked_commands: [0xZZ]\n",  # not a command code
-        "mode: allowlist\nviolation_verdict: shrug\n",
+        "mode: allowlist\nviolation_verdict: shrug\n",  # a retired key: a violation always jams
         "blocked_commands: [0xE4]\n",  # no mode
         "mode: voltage-cap\ncap_mV: 1400\n",  # misspelt key: not the default cap
         "mode: blocklist\ntrack_step_sel: \"false\"\n",  # a retired key, whatever its value
@@ -281,7 +300,7 @@ def test_bad_image_maps_to_exit_1(tmp_path, capsys):
         "mode: blocklist\ncap_mv: 1400\n",  # a blocklist enforces no cap
         "mode: voltage-cap\nblocked_commands: [0xE4]\n",  # a cap blocks no command
         "mode: allowlist\nblocked_commands: [0x21]\n",  # an allowlist reads only its own list
-        "mode: voltage-cap\nviolation_verdict: allow\n",  # a violation must be vetoed
+        "mode: voltage-cap\nviolation_verdict: allow\n",  # the retired key, with a verdict that vetoes nothing
     ],
 )
 @pytest.mark.parametrize("subcommand", ["filter-simulate", "attack-overvolt"])
@@ -452,3 +471,23 @@ def test_unpack_refuses_an_entry_outside_its_directory(tmp_path, capsys, entries
     assert main(["fw", "unpack", str(image), "--key-file", str(keyfile), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: BadArchive: rootfs entry ")
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["evil.img", "key.json"]  # nothing written
+
+
+@pytest.mark.parametrize(
+    "in_the_way, error",
+    [("rootfs", "NotADirectoryError"), ("nvram.bin/", "IsADirectoryError")],
+    ids=["file-where-a-directory-goes", "directory-where-a-file-goes"],
+)
+def test_unpack_refuses_a_path_already_in_the_way(tmp_path, capsys, in_the_way, error):
+    platform = Platform.from_profile("x11ssl-cf")
+    image, keyfile = tmp_path / "stock.img", tmp_path / "key.json"
+    image.write_bytes(platform.build_stock_firmware())
+    platform.firmware_key.save(keyfile)
+    out = tmp_path / "out"
+    out.mkdir()
+    blocker = out / in_the_way.rstrip("/")
+    blocker.mkdir() if in_the_way.endswith("/") else blocker.touch()
+    assert main(["fw", "unpack", str(image), "--key-file", str(keyfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: {blocker} is a ")
+    assert [p.name for p in out.rglob("*")] == [blocker.name]  # nothing written

@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from pmbus_sim import protocol as pm
+from pmbus_sim.errors import InvalidPolicy
 from pmbus_sim.fabric import ReplyStatus
 from pmbus_sim.filterguard import (
     BusFilter,
@@ -48,17 +49,6 @@ def test_allowlist_verdicts():
     assert f.evaluate(rd(pm.CMD_READ_VOUT)) is Verdict.ALLOW
 
 
-def test_block_verdict_maps_to_nack():
-    policy = FilterPolicy(
-        mode=PolicyMode.BLOCKLIST,
-        blocked_commands=frozenset({pm.CMD_OPERATION}),
-        violation_verdict=Verdict.BLOCK,
-    )
-    f = BusFilter(policy)
-    assert f.submit(wr(pm.CMD_OPERATION, 2)).status is ReplyStatus.NACK
-    assert f.submit(wr(pm.CMD_PAGE, 0)) is None
-
-
 def test_jam_verdict_maps_to_jammed():
     f = BusFilter(BLOCK_MFR)
     assert f.submit(wr(pm.CMD_MFR_VR_CONFIG, 8)).status is ReplyStatus.JAMMED
@@ -99,19 +89,12 @@ def test_filter_log_records_every_verdict():
 
 
 def test_policy_from_yaml_dict():
-    policy = policy_from_dict(
-        {
-            "mode": "blocklist",
-            "blocked_commands": ["0xE4", 238],
-            "violation_verdict": "block",
-        }
-    )
+    policy = policy_from_dict({"mode": "blocklist", "blocked_commands": ["0xE4", 238]})
     assert policy == FilterPolicy(
         mode=PolicyMode.BLOCKLIST,
         blocked_commands=frozenset({0xE4, 0xEE}),
         allowed_commands=frozenset(),
         cap_mv=1520,
-        violation_verdict=Verdict.BLOCK,
     )
     cap = policy_from_dict({"mode": "voltage-cap", "cap_mv": 1400})
     assert cap == FilterPolicy(
@@ -119,7 +102,6 @@ def test_policy_from_yaml_dict():
         blocked_commands=frozenset(),
         allowed_commands=frozenset(),
         cap_mv=1400,
-        violation_verdict=Verdict.JAM,
     )
     # the two documents the CI console step writes; absent keys take the defaults
     ci_cap = policy_from_dict(yaml.safe_load("mode: voltage-cap\ncap_mv: 1520\n"))
@@ -128,7 +110,6 @@ def test_policy_from_yaml_dict():
         blocked_commands=frozenset(),
         allowed_commands=frozenset(),
         cap_mv=1520,
-        violation_verdict=Verdict.JAM,
     )
     ci_blocklist = policy_from_dict(yaml.safe_load("mode: blocklist\nblocked_commands: [0xE4]\n"))
     assert ci_blocklist == FilterPolicy(
@@ -136,10 +117,7 @@ def test_policy_from_yaml_dict():
         blocked_commands=frozenset({0xE4}),
         allowed_commands=frozenset(),
         cap_mv=1520,
-        violation_verdict=Verdict.JAM,
     )
-
-
-def test_a_violation_verdict_must_veto():
-    with pytest.raises(ValueError, match="must veto"):
-        FilterPolicy(mode=PolicyMode.VOLTAGE_CAP, violation_verdict=Verdict.ALLOW)
+    # the verdict is not a policy key: a violation always jams
+    with pytest.raises(InvalidPolicy, match="violation_verdict"):
+        policy_from_dict({"mode": "blocklist", "violation_verdict": "jam"})

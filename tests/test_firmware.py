@@ -105,6 +105,12 @@ def test_table_must_name_exactly_the_four_sections(tmp_path, capsys, edit_record
     assert image.read_bytes() == bad
 
 
+def test_partial_table_record_fails_cleanly():
+    bad = retabled(build(), lambda r: [*r[:3], r[3][:-1]])  # webfs's record one byte short
+    with pytest.raises(DecryptFailed, match="partial record"):
+        fw.parse_package(bad, KEY)
+
+
 def test_parse_without_key_keeps_table_opaque():
     pkg = fw.parse_package(build(), None)
     assert pkg.table_encrypted and pkg.sections == []
@@ -195,6 +201,7 @@ def test_patching_requires_shell_entry():
         "webfs": [],
     }
     pkg = fw.parse_package(fw.build_package(contents, KEY), KEY)
+    assert not fw.has_root_shell(pkg, KEY)  # no shell entry at all
     with pytest.raises(NoSuchEntry):
         fw.enable_root_shell(pkg, KEY)
 

@@ -5,7 +5,7 @@ import pytest
 
 from pmbus_sim import Platform
 from pmbus_sim import firmware as fw
-from pmbus_sim.errors import InvalidProfile
+from pmbus_sim.errors import InvalidProfile, UnknownProfile
 from pmbus_sim.profiles import BUILTIN_PROFILES, load_profile
 
 
@@ -158,3 +158,9 @@ def test_malformed_profile_fails_on_every_load(tmp_path):
     for _ in range(3):
         with pytest.raises(InvalidProfile):
             Platform.from_profile(str(path))
+
+
+def test_unknown_profile_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # nor is there a file of that name
+    with pytest.raises(UnknownProfile, match="^nosuch$"):
+        load_profile("nosuch")

@@ -131,14 +131,6 @@ def test_reset_restores_configured_state():
     assert vrm.powered and vrm.output_mv == 1375
 
 
-def test_svid_requests_move_the_rail():
-    vrm = mps()
-    vrm.handle_svid_request(0x6E)
-    assert vrm.output_mv == 845
-    with pytest.raises(ValueError):
-        vrm.handle_svid_request(0x1FF)
-
-
 def test_passcode_gates_manufacturer_writes():
     vrm = mps()
     assert write(vrm, pm.CMD_MFR_PWD_USER, 0xBEEF).ok  # set a passcode
